@@ -1,8 +1,10 @@
-"""Bitmask mirrors of the matching maps, memoised for exhaustive sweeps.
+"""The integer-mask engine: matching tables and submask walks.
 
 Bit e-1 encodes element e, so on a fixed cardinality level the squashed
-order is plain integer order on masks.  The tables are built by evaluating
-the subset-level maps once per mask; they are caches, not re-implementations.
+order is plain integer order on masks.  ``match_tables`` computes ``psi``,
+``phi`` and ``psi_tilde`` for every mask from one left-to-right scan of its
+lattice path; the subset-level maps in :mod:`koszuldepth.matching` are the
+reference implementation these tables are tested against.
 """
 
 from __future__ import annotations
@@ -12,19 +14,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from . import matching
-from .subsets import Subset
+from .subsets import check_ground
 
 
 def bit_elements(mask: int) -> tuple[int, ...]:
     return tuple(e + 1 for e in range(mask.bit_length()) if (mask >> e) & 1)
-
-
-def mask_of(elements) -> int:
-    m = 0
-    for e in elements:
-        m |= 1 << (e - 1)
-    return m
 
 
 @dataclass(frozen=True)
@@ -37,16 +31,39 @@ class MatchTables:
 
 @lru_cache(maxsize=None)
 def match_tables(n: int) -> MatchTables:
-    psi_t: list[int | None] = []
-    phi_t: list[int | None] = []
-    tilde_t: list[int | None] = []
-    for mask in range(1 << n):
-        s = Subset.from_mask(n, mask)
-        r = matching.psi(s)
-        psi_t.append(r.value.mask if r.defined else None)
-        r = matching.phi(s)
-        phi_t.append(r.value.mask if r.defined else None)
-        tilde_t.append(matching.psi_tilde(s).value.mask if mask else None)
+    """``psi``, ``phi`` and ``psi_tilde`` of every mask over {1..n}.
+
+    One scan per mask tracks the running height, the maximum over the origin
+    and the members with the first and last position attaining it (the
+    peaks ``nu`` and ``mu``), and the first position where the maximum over
+    the members alone is attained (the pivot of ``psi_tilde``).
+    """
+    check_ground(n)
+    size = 1 << n
+    psi_t: list[int | None] = [None] * size
+    phi_t: list[int | None] = [None] * size
+    tilde_t: list[int | None] = [None] * size
+    for mask in range(size):
+        height = top = nu = mu = 0
+        top_g = -n - 1
+        pivot = 0
+        for pos in range(1, n + 1):
+            if (mask >> (pos - 1)) & 1:
+                height += 1
+                if height > top:
+                    top, nu, mu = height, pos, pos
+                elif height == top:
+                    mu = pos
+                if height > top_g:
+                    top_g, pivot = height, pos
+            else:
+                height -= 1
+        if nu:
+            psi_t[mask] = mask ^ (1 << (nu - 1))
+        if mu != n:
+            phi_t[mask] = mask | (1 << mu)
+        if pivot:
+            tilde_t[mask] = mask ^ (1 << (pivot - 1))
     return MatchTables(n, tuple(psi_t), tuple(phi_t), tuple(tilde_t))
 
 
@@ -62,8 +79,10 @@ def submasks(mask: int) -> Iterator[int]:
 
 def sized_submasks(mask: int, k: int) -> list[int]:
     """The k-element subsets of ``mask``, ascending (= squashed order)."""
-    out = [mask_of(c) for c in combinations(bit_elements(mask), k)]
-    out.sort()
+    high_first = [1 << e for e in range(mask.bit_length() - 1, -1, -1) if (mask >> e) & 1]
+    # combinations of the bits taken highest first come out in descending order
+    out = [sum(c) for c in combinations(high_first, k)]
+    out.reverse()
     return out
 
 

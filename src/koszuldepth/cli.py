@@ -180,8 +180,14 @@ def _verify_one(task) -> dict:
 
 def cmd_verify(args) -> int:
     rank = {"auto": None, "always": True, "never": False}[args.rank]
+    if args.box is not None and args.box < 0:
+        raise ValueError(f"--box needs a depth >= 0, got {args.box}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs needs at least 1 worker, got {args.jobs}")
     if args.all_n is not None:
         check_ground(args.all_n)
+        if args.all_n < 2:
+            raise ValueError(f"--all-n needs N >= 2, the smallest n with a valid k; got {args.all_n}")
         tasks = [
             (n, k, args.box, rank)
             for n in range(2, args.all_n + 1)

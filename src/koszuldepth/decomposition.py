@@ -129,19 +129,16 @@ def compute_Z_by_search(S: Subset) -> tuple[Subset, int | None]:
 
 
 def build_decomposition(n: int, k: int) -> Decomposition:
+    """The summands as objects, for display and export; verification runs on
+    the masks of :func:`_script`."""
     require_upper_half(n, k)
+    full = (1 << n) - 1
     summands = []
-    for S in summand_index_sets(n, k):
-        Z, removed = compute_Z(S)
-        G = S
-        for _ in range(len(S) - k):
-            r = matching.psi(G)
-            if not r.defined:
-                # impossible in range: intermediate sizes exceed the totality
-                # threshold; if it ever trips, the construction is broken
-                raise RuntimeError(f"downward matching undefined at {G} below S={S}")
-            G = r.value
-        summands.append(Summand(S, Z, removed, G, generator_m(S, G)))
+    for s_mask, removed, g_mask in _script(n, k):
+        S = Subset.from_mask(n, s_mask)
+        G = Subset.from_mask(n, g_mask)
+        z_mask = full if removed is None else full & ~(1 << (removed - 1))
+        summands.append(Summand(S, Subset.from_mask(n, z_mask), removed, G, generator_m(S, G)))
     return Decomposition(n, k, tuple(summands))
 
 
@@ -176,6 +173,29 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     return tuple(out)
 
 
+def _push_summands(n: int, script) -> list[list[int]]:
+    """Per support mask, the generator masks of the summands contributing there.
+
+    A summand (S, removed, G) contributes at every support M containing S
+    and avoiding the removed variable, so G is pushed into each such M by
+    walking the submasks of the free variables.
+    """
+    full = (1 << n) - 1
+    out: list[list[int]] = [[] for _ in range(1 << n)]
+    for s_mask, removed, g_mask in script:
+        free = full & ~s_mask
+        if removed is not None:
+            free &= ~(1 << (removed - 1))
+        for extra in submasks(free):
+            out[s_mask | extra].append(g_mask)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _summand_families(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(map(tuple, _push_summands(n, _script(n, k))))
+
+
 def _family_members(n: int, k: int, m_mask: int, tables: MatchTables) -> list[tuple[int, int]]:
     """Members of the contribution family for support mask ``m_mask``.
 
@@ -183,13 +203,7 @@ def _family_members(n: int, k: int, m_mask: int, tables: MatchTables) -> list[tu
     k-subsets of even index.  A mismatch (or a repeated generator) would
     break the dimension count, so either raises.
     """
-    from_summands = []
-    for s_mask, removed, g_mask in _script(n, k):
-        if s_mask & ~m_mask:
-            continue
-        if removed is not None and (m_mask >> (removed - 1)) & 1:
-            continue
-        from_summands.append(g_mask)
+    from_summands = _summand_families(n, k)[m_mask]
     by_parity = []
     for g in sized_submasks(m_mask, k):
         ind = phi_index(tables, g, m_mask)
@@ -206,6 +220,14 @@ def _family_members(n: int, k: int, m_mask: int, tables: MatchTables) -> list[tu
     return by_parity
 
 
+def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
+    return ContributionFamily(
+        M,
+        k,
+        tuple(FamilyMember(Subset.from_mask(M.n, g), ind) for g, ind in members),
+    )
+
+
 def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
     require_upper_half(n, k)
     if M.n != n:
@@ -213,11 +235,7 @@ def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
     if len(M) < k:
         raise ValueError(f"support {M} has fewer than k={k} elements")
     members = _family_members(n, k, M.mask, match_tables(n))
-    return ContributionFamily(
-        M,
-        k,
-        tuple(FamilyMember(Subset.from_mask(n, g), ind) for g, ind in members),
-    )
+    return _family_from_masks(M, k, members)
 
 
 def distinguished_subset(G: Subset) -> Subset:
@@ -225,20 +243,50 @@ def distinguished_subset(G: Subset) -> Subset:
     return matching.psi_tilde(G).value
 
 
+def _first_violation(tables: MatchTables, m_mask: int, members: list[int]) -> tuple[int, int] | None:
+    """Positions (i, j), j < i, of the first member whose distinguished facet
+    lies inside an earlier member, j being the earliest such; None if none.
+
+    Members must be k-subsets of M.  A k-subset of M contains the facet t
+    exactly when it is t plus one element of M outside t, so each member
+    looks up at most n candidates among the earlier ones.
+    """
+    tilde = tables.psi_tilde
+    position: dict[int, int] = {}
+    for i, g in enumerate(members):
+        t = tilde[g]
+        rest = m_mask & ~t
+        hit = None
+        while rest:
+            low = rest & -rest
+            j = position.get(t | low)
+            if j is not None and (hit is None or j < hit):
+                hit = j
+            rest ^= low
+        if hit is not None:
+            return i, hit
+        position.setdefault(g, i)
+    return None
+
+
 def triangle_check(family: ContributionFamily) -> TriangleReport:
     """Each member's distinguished facet must avoid all earlier members.
 
     Members are taken in the order given (canonical families are already
-    ascending in squashed order); the first offending pair is reported.
+    ascending in squashed order); the first offending member is reported
+    with the earliest member containing its facet.
     """
-    earlier: list[Subset] = []
+    M, k = family.M, family.k
     for member in family.members:
-        t = distinguished_subset(member.G)
-        for h in earlier:
-            if t.elements <= h.elements:
-                return TriangleReport(False, (member.G, h))
-        earlier.append(member.G)
-    return TriangleReport(True)
+        G = member.G
+        if k < 1 or G.n != M.n or len(G) != k or not G.elements <= M.elements:
+            raise ValueError(f"family member {G} is not a non-empty {k}-subset of {M}")
+    masks = [member.G.mask for member in family.members]
+    bad = _first_violation(match_tables(M.n), M.mask, masks)
+    if bad is None:
+        return TriangleReport(True)
+    i, j = bad
+    return TriangleReport(False, (family.members[i].G, family.members[j].G))
 
 
 def sign_matrix(family: ContributionFamily) -> list[list[int]]:
@@ -308,45 +356,48 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: i
     the same equality at every multidegree with entries up to ``box_depth``.
     """
     n, k = decomp.n, decomp.k
-    rep = Report(f"hilbert identity n={n} k={k} ({mode})")
     if mode == "squarefree":
-        full = (1 << n) - 1
-        counts = [0] * (1 << n)
-        for sm in decomp.summands:
-            s_mask = sm.S.mask
-            free = full & ~s_mask
-            if sm.removed is not None:
-                free &= ~(1 << (sm.removed - 1))
-            for extra in submasks(free):
-                counts[s_mask | extra] += 1
-        checked = 0
-        for m_mask in range(1, 1 << n):
-            expect = dim_oracle(n, k, _indicator_of_mask(n, m_mask))
-            checked += 1
-            if counts[m_mask] != expect:
-                rep.fail(
-                    f"support {Subset.from_mask(n, m_mask)}: "
-                    f"{counts[m_mask]} summands vs dimension {expect}"
-                )
-        rep.counts["supports_checked"] = checked
-    elif mode == "box":
-        checked = 0
-        for exps in product(range(box_depth + 1), repeat=n):
-            m = Multidegree(n, exps)
-            got = sum(1 for sm in decomp.summands if contributes(sm, m))
-            expect = dim_oracle(n, k, m)
-            checked += 1
-            if got != expect:
-                rep.fail(f"multidegree {m}: {got} summands vs dimension {expect}")
-        rep.counts["multidegrees_checked"] = checked
-        rep.counts["box_depth"] = box_depth
-    else:
+        script = ((sm.S.mask, sm.removed, sm.G.mask) for sm in decomp.summands)
+        return _squarefree_hilbert(n, k, _push_summands(n, script))
+    if mode != "box":
         raise ValueError(f"unknown mode {mode!r}")
+    if box_depth < 0:
+        raise ValueError(f"box depth must be >= 0, got {box_depth}")
+    rep = Report(f"hilbert identity n={n} k={k} (box)")
+    checked = 0
+    for exps in product(range(box_depth + 1), repeat=n):
+        m = Multidegree(n, exps)
+        got = sum(1 for sm in decomp.summands if contributes(sm, m))
+        expect = dim_oracle(n, k, m)
+        checked += 1
+        if got != expect:
+            rep.fail(f"multidegree {m}: {got} summands vs dimension {expect}")
+    rep.counts["multidegrees_checked"] = checked
+    rep.counts["box_depth"] = box_depth
+    return _close_hilbert(rep, "box", checked)
+
+
+def _squarefree_hilbert(n: int, k: int, families) -> Report:
+    """The squarefree identity, given the contributing generators per support."""
+    rep = Report(f"hilbert identity n={n} k={k} (squarefree)")
+    checked = 0
+    for m_mask in range(1, 1 << n):
+        got = len(families[m_mask])
+        expect = dim_oracle(n, k, _indicator_of_mask(n, m_mask))
+        checked += 1
+        if got != expect:
+            rep.fail(
+                f"support {Subset.from_mask(n, m_mask)}: "
+                f"{got} summands vs dimension {expect}"
+            )
+    rep.counts["supports_checked"] = checked
+    return _close_hilbert(rep, "squarefree", checked)
+
+
+def _close_hilbert(rep: Report, mode: str, checked: int) -> Report:
     rep.counts["failures"] = len(rep.failures)
     rep.lines.append(
-        f"hilbert identity ({mode}): "
-        f"{rep.counts.get('supports_checked', rep.counts.get('multidegrees_checked'))} "
-        f"degrees checked, {len(rep.failures)} failures"
+        f"hilbert identity ({mode}): {checked} degrees checked, {len(rep.failures)} failures"
     )
     return rep
 
@@ -442,11 +493,11 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     require_upper_half(n, k)
     if check_rank is None:
         check_rank = n <= 9
-    decomp = build_decomposition(n, k)
+    script = _script(n, k)
     rep = Report(f"stanley decomposition n={n} k={k}")
-    rep.lines.append(f"stanley decomposition of M({n},{k}): {len(decomp.summands)} summands")
+    rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
-    hilbert = verify_hilbert(decomp, "squarefree")
+    hilbert = _squarefree_hilbert(n, k, _summand_families(n, k))
     rep.lines.extend(hilbert.lines)
     rep.failures.extend(hilbert.failures)
     rep.passed &= hilbert.passed
@@ -471,26 +522,22 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
                 f"support {Subset.from_mask(n, m_mask)}: family size {len(members)} "
                 f"!= C(|M|-1,k-1) = {expect}"
             )
-        family = ContributionFamily(
-            Subset.from_mask(n, m_mask),
-            k,
-            tuple(FamilyMember(Subset.from_mask(n, g), ind) for g, ind in members),
-        )
-        tri = triangle_check(family)
-        if not tri.passed:
+        bad = _first_violation(tables, m_mask, [g for g, _ in members])
+        if bad is not None:
             triangle_violations += 1
-            g_bad, h_bad = tri.violation
+            g_bad, h_bad = (Subset.from_mask(n, members[i][0]) for i in bad)
             rep.fail(
                 f"support {Subset.from_mask(n, m_mask)}: distinguished facet of "
                 f"{g_bad} lies inside earlier {h_bad}"
             )
         if check_rank:
             rank_checked += 1
+            family = _family_from_masks(Subset.from_mask(n, m_mask), k, members)
             if not rank_full(sign_matrix(family)):
                 rank_failures += 1
                 rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
 
-    rep.counts["summands"] = len(decomp.summands)
+    rep.counts["summands"] = len(script)
     rep.counts["supports"] = supports
     rep.counts["triangle_violations"] = triangle_violations
     rep.counts["family_size_mismatches"] = size_mismatches
@@ -507,8 +554,8 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     else:
         rep.lines.append("exact rank: skipped at this size (rerun with rank checking forced)")
 
-    z_sizes = sorted({len(sm.Z) for sm in decomp.summands})
-    slim = sum(1 for sm in decomp.summands if len(sm.Z) == n - 1)
+    slim = sum(1 for _, removed, _ in script if removed is not None)
+    z_sizes = sorted({n if removed is None else n - 1 for _, removed, _ in script})
     min_z = min(z_sizes)
     rep.counts["min_Z"] = min_z
     if min_z != n - 1 or slim == 0:

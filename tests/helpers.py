@@ -58,3 +58,26 @@ def all_element_sets(n: int):
     """Every subset of {1..n} as a python set, by mask order."""
     for mask in range(1 << n):
         yield {e for e in range(1, n + 1) if (mask >> (e - 1)) & 1}
+
+
+def naive_facet(n: int, elements: set[int]) -> set[int]:
+    """The distinguished facet: drop the first member where the height over
+    the members alone is largest."""
+    heights, _, _, _ = naive_path(n, elements)
+    top = max(heights[g] for g in elements)
+    return elements - {min(g for g in elements if heights[g] == top)}
+
+
+def naive_triangle(family):
+    """Quadratic triangle check on element sets: (G, H) for the first member G
+    whose distinguished facet lies in an earlier member H, the earliest such
+    H, or None."""
+    n = family.M.n
+    earlier = []
+    for member in family.members:
+        t = naive_facet(n, set(member.G.elements))
+        for h in earlier:
+            if t <= h.elements:
+                return member.G, h
+        earlier.append(member.G)
+    return None

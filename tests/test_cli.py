@@ -13,6 +13,53 @@ from koszuldepth.cli import main
 REPO = Path(__file__).resolve().parent.parent
 
 
+# Complete verify output, pinned byte for byte: the text of `verify 9 4`
+# (rank on) and the JSON of `verify 8 4 --format json`.
+VERIFY_9_4 = (
+    "stanley decomposition of M(9,4): 219 summands\n"
+    "hilbert identity (squarefree): 511 degrees checked, 0 failures\n"
+    "families: 382 supports, sizes ok, two-form agreement held\n"
+    "triangle condition (squashed order): 0 violations\n"
+    "exact rank: 382 sign matrices, 0 rank deficient\n"
+    "depth: |Z| sizes [8, 9], minimum 8 = n-1 attained by 163 summands\n"
+    "conclusion: sdepth M(9,4) >= 8 verified by this decomposition; "
+    "equality with 8 = n-1 follows from the known Hilbert depth upper bound "
+    "(Bruns, Krattenthaler & Uliczka 2010), which is cited here, not verified.\n"
+    "PASS stanley decomposition n=9 k=4\n"
+)
+
+VERIFY_8_4_JSON = {
+    "passed": True,
+    "reports": [{
+        "name": "stanley decomposition n=8 k=4",
+        "passed": True,
+        "counts": {
+            "hilbert_supports": 255,
+            "hilbert_failures": 0,
+            "summands": 99,
+            "supports": 163,
+            "triangle_violations": 0,
+            "family_size_mismatches": 0,
+            "rank_checked": 163,
+            "rank_failures": 0,
+            "min_Z": 7,
+        },
+        "failures": [],
+        "lines": [
+            "stanley decomposition of M(8,4): 99 summands",
+            "hilbert identity (squarefree): 255 degrees checked, 0 failures",
+            "families: 163 supports, sizes ok, two-form agreement held",
+            "triangle condition (squashed order): 0 violations",
+            "exact rank: 163 sign matrices, 0 rank deficient",
+            "depth: |Z| sizes [7, 8], minimum 7 = n-1 attained by 64 summands",
+            "conclusion: sdepth M(8,4) >= 7 verified by this decomposition; "
+            "equality with 7 = n-1 follows from the known Hilbert depth upper bound "
+            "(Bruns, Krattenthaler & Uliczka 2010), which is cited here, not verified.",
+        ],
+    }],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -107,6 +154,18 @@ def test_verify_pass_and_conclusion(capsys):
     assert "cited" in out and "not verified" in out
 
 
+def test_verify_golden_text(capsys):
+    code, out, _ = run(capsys, "verify", "9", "4")
+    assert code == 0
+    assert out == VERIFY_9_4
+
+
+def test_verify_golden_json(capsys):
+    code, out, _ = run(capsys, "verify", "8", "4", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(VERIFY_8_4_JSON) + "\n"
+
+
 def test_verify_out_of_range(capsys):
     code, _, err = run(capsys, "verify", "4", "1")
     assert code == 2 and "floor(n/2)" in err
@@ -160,6 +219,15 @@ def test_usage_errors(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "path", "99", "{1}")
     assert code == 2
+    # runs that would check nothing are refused, not passed
+    for argv in (
+        ("verify", "6", "3", "--box", "-1"),
+        ("verify", "--all-n", "1"),
+        ("verify", "6", "3", "--jobs", "0"),
+        ("verify", "--all-n", "4", "--jobs", "-2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_determinism(capsys):

@@ -25,10 +25,11 @@ from koszuldepth.decomposition import (
     verify_hilbert,
     verify_stanley,
 )
+from koszuldepth import matching
 from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.subsets import Subset, level_key
 
-from helpers import all_element_sets, sympy_rank
+from helpers import all_element_sets, naive_triangle, sympy_rank
 
 
 def S(n, elems=()):
@@ -67,6 +68,22 @@ def test_compute_Z_agrees_with_search(n):
     for k in range(max(n // 2, 1), n):
         for s in summand_index_sets(n, k):
             assert compute_Z(s) == compute_Z_by_search(s)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_build_decomposition_matches_subset_replay(n):
+    # the decomposition is built from mask tables; replay it with the
+    # subset-level maps: iterate psi down to size k, search for the removed variable
+    for k in range(max(n // 2, 1), n):
+        got = [(sm.S, sm.Z, sm.removed, sm.G) for sm in build_decomposition(n, k).summands]
+        expected = []
+        for s in summand_index_sets(n, k):
+            G = s
+            for _ in range(len(s) - k):
+                G = matching.psi(G).value
+            Z, removed = compute_Z_by_search(s)
+            expected.append((s, Z, removed, G))
+        assert got == expected
 
 
 def test_build_decomposition_n3():
@@ -193,6 +210,35 @@ def test_triangle_violation_paths():
     rep = triangle_check(fam)
     assert not rep.passed
     assert rep.violation == (S(2, [2]), S(2, [1]))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_triangle_check_matches_naive_oracle(n):
+    # reversed families violate the condition, and from n = 5 on some
+    # violating facet lies in several earlier members, so the exact pair
+    # pins the choice of the earliest one
+    reversed_violations = 0
+    for k in range(max(n // 2, 1), n):
+        for elems in all_element_sets(n):
+            if len(elems) < k:
+                continue
+            fam = contribution_family(n, k, S(n, elems))
+            flipped = ContributionFamily(fam.M, k, fam.members[::-1])
+            for f in (fam, flipped):
+                expected = naive_triangle(f)
+                rep = triangle_check(f)
+                assert rep.passed == (expected is None)
+                assert rep.violation == expected
+            reversed_violations += naive_triangle(flipped) is not None
+    assert reversed_violations > 0 or n == 2
+
+
+def test_triangle_check_rejects_non_members():
+    M = S(5, [1, 2, 4, 5])
+    for bad in (S(5, [1, 2]), S(5, [1, 2, 3]), S(6, [1, 2, 4])):
+        fam = ContributionFamily(M, 3, (FamilyMember(S(5, [1, 2, 4]), 0), FamilyMember(bad, 0)))
+        with pytest.raises(ValueError):
+            triangle_check(fam)
 
 
 def test_sign_matrix_examples():
