@@ -17,8 +17,6 @@ from .decomposition import (
     Summand,
     TriangleReport,
     build_decomposition,
-    compute_Z,
-    compute_Z_by_search,
     contributes,
     contribution_family,
     decomposition_to_dict,
@@ -28,7 +26,6 @@ from .decomposition import (
     rank_full,
     require_upper_half,
     sign_matrix,
-    summand_index_sets,
     triangle_check,
     verify_hilbert,
     verify_stanley,
@@ -46,7 +43,7 @@ from .koszul import (
     indicator,
     term_multidegree,
 )
-from .matching import MatchResult, greedy_lex_matching, index, index_by_psi, phi, psi, psi_tilde
+from .matching import MatchResult, greedy_lex_matching, index, phi, psi, psi_tilde
 from .report import Report
 from .subsets import (
     MAX_N,
@@ -87,8 +84,6 @@ __all__ = [
     "check_index_equivalence",
     "check_inverse_law",
     "chi",
-    "compute_Z",
-    "compute_Z_by_search",
     "contributes",
     "contribution_family",
     "decomposition_to_dict",
@@ -98,7 +93,6 @@ __all__ = [
     "generator_m",
     "greedy_lex_matching",
     "index",
-    "index_by_psi",
     "index_step_check",
     "index_step_sweep",
     "indicator",
@@ -113,7 +107,6 @@ __all__ = [
     "require_upper_half",
     "sign_matrix",
     "squashed_less",
-    "summand_index_sets",
     "term_multidegree",
     "triangle_check",
     "verify_hilbert",

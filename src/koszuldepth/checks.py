@@ -1,4 +1,5 @@
-"""Exhaustive verification sweeps for the matching laws."""
+"""Exhaustive verification sweeps for the matching laws, on the tables of
+:mod:`koszuldepth.bits` that ``verify`` runs on."""
 
 from __future__ import annotations
 
@@ -8,35 +9,37 @@ from .report import Report
 from .subsets import Subset
 
 
+def _subset(n: int, mask: int | None) -> Subset | None:
+    return None if mask is None else Subset.from_mask(n, mask)
+
+
 def check_inverse_law(n: int) -> Report:
     """Over all 2^n subsets: the two maps invert each other, the image of the
     downward map is the domain of the upward one, and the downward map is
     total above the halfway threshold."""
     rep = Report(f"inverse law n={n}")
+    tables = match_tables(n)
     threshold = (n + 1 + 1) // 2  # ceil((n+1)/2)
-    image: set[Subset] = set()
-    phi_domain: set[Subset] = set()
+    image: set[int] = set()
+    phi_domain: set[int] = set()
     psi_defined = 0
     for mask in range(1 << n):
-        g = Subset.from_mask(n, mask)
-        down = matching.psi(g)
-        up = matching.phi(g)
-        if down.defined:
+        down = tables.psi[mask]
+        up = tables.phi[mask]
+        if down is not None:
             psi_defined += 1
-            image.add(down.value)
-            back = matching.phi(down.value)
-            if not back.defined or back.value != g:
-                rep.fail(f"phi(psi({g})) != {g}")
-        elif len(g) >= threshold:
-            rep.fail(f"psi undefined on {g} despite |G| >= {threshold}")
-        if up.defined:
-            phi_domain.add(g)
-            back = matching.psi(up.value)
-            if not back.defined or back.value != g:
-                rep.fail(f"psi(phi({g})) != {g}")
-    for g in sorted(image ^ phi_domain, key=lambda s: (len(s), s.mask)):
-        side = "image only" if g in image else "phi-domain only"
-        rep.fail(f"image/domain mismatch at {g} ({side})")
+            image.add(down)
+            if tables.phi[down] != mask:
+                rep.fail(f"phi(psi({_subset(n, mask)})) != {_subset(n, mask)}")
+        elif mask.bit_count() >= threshold:
+            rep.fail(f"psi undefined on {_subset(n, mask)} despite |G| >= {threshold}")
+        if up is not None:
+            phi_domain.add(mask)
+            if tables.psi[up] != mask:
+                rep.fail(f"psi(phi({_subset(n, mask)})) != {_subset(n, mask)}")
+    for mask in sorted(image ^ phi_domain, key=lambda m: (m.bit_count(), m)):
+        side = "image only" if mask in image else "phi-domain only"
+        rep.fail(f"image/domain mismatch at {_subset(n, mask)} ({side})")
     rep.counts["subsets"] = 1 << n
     rep.counts["psi_defined"] = psi_defined
     rep.counts["failures"] = len(rep.failures)
@@ -82,20 +85,22 @@ def check_greedy_agreement(n: int) -> Report:
     threshold = (n + 2) // 2  # ceil((n+1)/2)
     low_mismatches = 0
     upper_sets = 0
+    tables = match_tables(n)
     for l in range(n):
-        greedy = matching.greedy_lex_matching(n, l)
+        greedy = {big.mask: small.mask for big, small in matching.greedy_lex_matching(n, l).items()}
         upper = l + 1 >= threshold
         for mask in range(1 << n):
             if mask.bit_count() != l + 1:
                 continue
-            g = Subset.from_mask(n, mask)
-            closed = matching.psi(g)
-            expected = closed.value if closed.defined else None
-            got = greedy.get(g)
+            expected = tables.psi[mask]
+            got = greedy.get(mask)
             if upper:
                 upper_sets += 1
                 if got != expected:
-                    rep.fail(f"level {l + 1}: greedy gives {got} but formula gives {expected} at {g}")
+                    rep.fail(
+                        f"level {l + 1}: greedy gives {_subset(n, got)} but formula gives "
+                        f"{_subset(n, expected)} at {_subset(n, mask)}"
+                    )
             elif got != expected:
                 low_mismatches += 1
     rep.counts["upper_level_sets"] = upper_sets

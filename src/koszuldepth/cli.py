@@ -239,10 +239,6 @@ def _run_checks(n: int, which: list[str], fmt: str) -> int:
     return 0 if ok else 1
 
 
-def cmd_check(args) -> int:
-    return _run_checks(args.n, [args.which], args.format)
-
-
 def cmd_check_matching(args) -> int:
     which = args.which or ["inverse", "index-eq", "greedy"]
     for name in which:
@@ -252,6 +248,10 @@ def cmd_check_matching(args) -> int:
 
 
 def cmd_check_lemma(args) -> int:
+    if args.n < 2:
+        raise ValueError(
+            f"check-lemma needs n >= 2, the smallest n with an admissible triple; got {args.n}"
+        )
     return _run_checks(args.n, ["lemma-ind"], args.format)
 
 
@@ -318,22 +318,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sp)
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("check", help="run one exhaustive property suite")
-    sp.add_argument("n", type=int, help="recommended maxima: inverse 14, index-eq 10, "
-                    "lemma-ind 9, greedy 12")
-    sp.add_argument("which", choices=sorted(_CHECKS))
-    _add_format(sp)
-    sp.set_defaults(func=cmd_check)
-
     sp = sub.add_parser("check-matching", help="matching law suites (inverse, index-eq, greedy)")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=int, help="recommended maxima: inverse 14, index-eq 10, greedy 12")
     sp.add_argument("which", nargs="*", metavar="which",
                     help="any of: inverse, index-eq, greedy (default: all three)")
     _add_format(sp)
     sp.set_defaults(func=cmd_check_matching)
 
     sp = sub.add_parser("check-lemma", help="exhaustive index increment check")
-    sp.add_argument("n", type=int)
+    sp.add_argument("n", type=int, help="at least 2; recommended maximum 13")
     _add_format(sp)
     sp.set_defaults(func=cmd_check_lemma)
 

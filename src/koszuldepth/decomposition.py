@@ -22,6 +22,7 @@ from . import matching
 from .bits import MatchTables, bit_elements, match_tables, phi_index, sized_submasks, submasks
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m, indicator
 from .report import Report
+# lattice_path is unused here, but the benchmark tracer wraps this module's binding
 from .subsets import Subset, lattice_path, same_ground
 
 
@@ -85,47 +86,6 @@ class StepCheck:
     index_G: int | None = None
     index_H: int | None = None
     expected_H: int | None = None
-
-
-def summand_index_sets(n: int, k: int) -> list[Subset]:
-    """All subsets of [n] of size k, k+2, k+4, ... in (level, squashed) order."""
-    require_upper_half(n, k)
-    out = []
-    for size in range(k, n + 1, 2):
-        level = [m for m in range(1 << n) if m.bit_count() == size]
-        level.sort()
-        out.extend(Subset.from_mask(n, m) for m in level)
-    return out
-
-
-def compute_Z(S: Subset) -> tuple[Subset, int | None]:
-    """Allowed variables for the summand at S.
-
-    S is hit by the downward matching from exactly one superset iff the
-    upward map is defined on S, in which case the inserted element is the
-    variable to remove.  Otherwise every variable is allowed.
-    """
-    up = matching.phi(S)
-    if up.defined:
-        removed = up.pivot
-        return Subset(S.n, set(range(1, S.n + 1)) - {removed}), removed
-    return Subset.full(S.n), None
-
-
-def compute_Z_by_search(S: Subset) -> tuple[Subset, int | None]:
-    """Same as :func:`compute_Z` but by trying every insertion; test oracle."""
-    hits = []
-    for s in range(1, S.n + 1):
-        if s in S.elements:
-            continue
-        r = matching.psi(S.with_element(s))
-        if r.defined and r.value == S:
-            hits.append(s)
-    if len(hits) > 1:
-        raise RuntimeError(f"matching not injective at {S}: preimages add {hits}")
-    if hits:
-        return Subset(S.n, set(range(1, S.n + 1)) - {hits[0]}), hits[0]
-    return Subset.full(S.n), None
 
 
 def build_decomposition(n: int, k: int) -> Decomposition:
@@ -402,6 +362,39 @@ def _close_hilbert(rep: Report, mode: str, checked: int) -> Report:
     return rep
 
 
+def _admissible(tables: MatchTables, m: int, g: int, h: int) -> bool:
+    """Mask form of the admissibility of (M, G, H); see :func:`index_step_check`.
+
+    On equal sizes, squashed order is integer order on masks.
+    """
+    return (
+        not (g | h) & ~m
+        and g.bit_count() == h.bit_count() >= tables.n // 2
+        and g != 0
+        and h < g
+        and not tables.psi_tilde[g] & ~h
+    )
+
+
+def _index_step(tables: MatchTables, m: int, g: int, h: int) -> StepCheck:
+    """The increment claim on one admissible mask triple.
+
+    The pivot p of ``psi_tilde`` is the first member where the height over
+    the members alone peaks, so the restricted peak height is the height of
+    the lattice path at p.
+    """
+    p = (g ^ tables.psi_tilde[g]).bit_length()
+    peak = 2 * (g & ((1 << p) - 1)).bit_count() - p
+    ind_g = phi_index(tables, g, m)
+    ind_h = phi_index(tables, h, m)
+    if peak >= 0:
+        case, expected = 1, ind_g + 1
+    else:
+        case, expected = 2, 1
+    status = "pass" if ind_h == expected else "fail"
+    return StepCheck(status, case, ind_g, ind_h, expected)
+
+
 def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
     """Check the index increment along one admissible squashed-order pair.
 
@@ -416,27 +409,10 @@ def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
     """
     same_ground(M, G)
     same_ground(M, H)
-    n = M.n
-    if not (G.elements <= M.elements and H.elements <= M.elements):
+    tables = match_tables(M.n)
+    if not _admissible(tables, M.mask, G.mask, H.mask):
         return StepCheck("skip")
-    if len(G) != len(H) or len(G) < n // 2 or not G.elements:
-        return StepCheck("skip")
-    diff = G.elements ^ H.elements
-    if not diff or max(diff) not in G.elements:
-        return StepCheck("skip")
-    t = distinguished_subset(G)
-    if not t.elements < H.elements:
-        return StepCheck("skip")
-    heights = lattice_path(G).heights
-    alpha_tilde = max(heights[g] for g in G.elements)
-    ind_g = matching.index(G, M)
-    ind_h = matching.index(H, M)
-    if alpha_tilde >= 0:
-        case, expected = 1, ind_g + 1
-    else:
-        case, expected = 2, 1
-    status = "pass" if ind_h == expected else "fail"
-    return StepCheck(status, case, ind_g, ind_h, expected)
+    return _index_step(tables, M.mask, G.mask, H.mask)
 
 
 def index_step_sweep(n: int) -> Report:
@@ -451,23 +427,22 @@ def index_step_sweep(n: int) -> Report:
     by_case = {1: 0, 2: 0}
     checked = 0
     for m_mask in range(1, 1 << n):
-        m_set = Subset.from_mask(n, m_mask)
         for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
             for g_mask in sized_submasks(m_mask, size):
-                g_set = Subset.from_mask(n, g_mask)
-                pivot = matching.psi_tilde(g_set).pivot
                 t_mask = tables.psi_tilde[g_mask]
+                pivot = (g_mask ^ t_mask).bit_length()
                 for x in bit_elements(m_mask & ~g_mask):
                     if x >= pivot:
                         continue
                     h_mask = t_mask | (1 << (x - 1))
-                    result = index_step_check(M=m_set, G=g_set, H=Subset.from_mask(n, h_mask))
-                    assert result.status != "skip"
+                    assert _admissible(tables, m_mask, g_mask, h_mask)
+                    result = _index_step(tables, m_mask, g_mask, h_mask)
                     checked += 1
                     by_case[result.case] += 1
                     if result.status == "fail":
+                        M, G, H = (Subset.from_mask(n, mask) for mask in (m_mask, g_mask, h_mask))
                         rep.fail(
-                            f"M={m_set} G={g_set} H={Subset.from_mask(n, h_mask)}: "
+                            f"M={M} G={G} H={H}: "
                             f"case {result.case}, index {result.index_H} != "
                             f"expected {result.expected_H} (index of G: {result.index_G})"
                         )

@@ -4,8 +4,9 @@
 its maximum over G and the origin; ``phi`` inserts the successor of the last
 such position.  On their respective domains the two maps are mutually
 inverse, so the index of G inside M (the number of upward steps that stay
-inside M) is computable by iterating ``phi``, while the defining downward
-formulation is kept as an exhaustive oracle.
+inside M) is computable by iterating ``phi``.  These subset-level maps answer
+single-subset queries and are the reference the tables of
+:mod:`koszuldepth.bits`, which every sweep runs on, are tested against.
 """
 
 from __future__ import annotations
@@ -78,37 +79,6 @@ def index(G: Subset, M: Subset) -> int:
             return i
         cur = step.value
         i += 1
-
-
-def index_by_psi(G: Subset, M: Subset) -> int:
-    """Index of G in M by exhaustive search over downward chains.
-
-    Enumerates every subset of M and checks whether iterating ``psi`` from it
-    reaches G.  Exponential in |M|; kept as the independent oracle for
-    :func:`index`.
-    """
-    same_ground(G, M)
-    if not G.elements <= M.elements:
-        raise ValueError(f"{G} is not contained in {M}")
-    best = 0
-    members = M.sorted_elements()
-    for size in range(len(G), len(M) + 1):
-        steps = size - len(G)
-        if steps <= best:
-            continue
-        for start in combinations(members, size):
-            cur = Subset(M.n, start)
-            ok = True
-            for _ in range(steps):
-                r = psi(cur)
-                if not r.defined:
-                    ok = False
-                    break
-                cur = r.value
-            if ok and cur == G:
-                best = steps
-                break
-    return best
 
 
 def greedy_lex_matching(n: int, l: int) -> dict[Subset, Subset]:

@@ -41,6 +41,59 @@ def naive_index_up(n: int, G: set[int], M: set[int]) -> int:
         steps += 1
 
 
+def naive_psi(n: int, elements: set[int]) -> set[int] | None:
+    """The downward step: delete the first peak (origin included), or None
+    when that peak is the origin."""
+    _, _, first, _ = naive_path(n, elements)
+    return None if first == 0 else elements - {first}
+
+
+def index_by_psi(n: int, G: set[int], M: set[int]) -> int:
+    """Index of G inside M by its defining search: the largest number of
+    downward steps leading from a subset of M to G.  Exponential in |M|."""
+    best = 0
+    for size in range(len(G) + 1, len(M) + 1):
+        for start in combinations(sorted(M), size):
+            cur = set(start)
+            for _ in range(size - len(G)):
+                cur = naive_psi(n, cur)
+                if cur is None:
+                    break
+            if cur == G:
+                best = size - len(G)
+                break
+    return best
+
+
+def compute_Z_by_search(n: int, S: set[int]) -> tuple[set[int], int | None]:
+    """The variables of the summand at S, by trying every insertion: all but
+    the element whose insertion the downward step undoes, or all if none."""
+    hits = [s for s in range(1, n + 1) if s not in S and naive_psi(n, S | {s}) == S]
+    assert len(hits) <= 1, f"matching not injective at {S}: preimages add {hits}"
+    full = set(range(1, n + 1))
+    if hits:
+        return full - {hits[0]}, hits[0]
+    return full, None
+
+
+def naive_summands(n: int, k: int):
+    """(S, Z, removed, G) per summand of the decomposition of M(n, k).
+
+    S runs over the sets of size k, k+2, k+4, ... by level, each level in
+    squashed order (lexicographic on the elements read from the largest
+    down); G is S after |S| - k downward steps.
+    """
+    out = []
+    for size in range(k, n + 1, 2):
+        for S in sorted(combinations(range(1, n + 1), size), key=lambda c: c[::-1]):
+            G = set(S)
+            for _ in range(size - k):
+                G = naive_psi(n, G)
+            Z, removed = compute_Z_by_search(n, set(S))
+            out.append((set(S), Z, removed, G))
+    return out
+
+
 def naive_squashed_precedes(a: set[int], b: set[int]) -> bool:
     """a strictly before b: the largest element where they differ lies in b."""
     diff = a ^ b
@@ -97,6 +150,20 @@ def naive_triangle(family):
     return None
 
 
+def naive_admissible(n: int, M: set[int], G: set[int], H: set[int]) -> bool:
+    """Whether (M, G, H) is admissible for the index-increment claim: G and H
+    are equal-size subsets of M with at least max(floor(n/2), 1) elements,
+    H precedes G in squashed order, and H strictly contains the
+    distinguished facet of G."""
+    return (
+        G <= M
+        and H <= M
+        and len(G) == len(H) >= max(n // 2, 1)
+        and naive_squashed_precedes(H, G)
+        and naive_facet(n, G) < H
+    )
+
+
 class Triple(NamedTuple):
     """One admissible triple of the index-increment claim, with its data."""
 
@@ -107,6 +174,11 @@ class Triple(NamedTuple):
     index_G: int
     index_H: int
     x: int  # the element H adds to the distinguished facet of G
+
+    @property
+    def expected_H(self) -> int:
+        """The index of H that the claim predicts."""
+        return self.index_G + 1 if self.case == 1 else 1
 
 
 def admissible_triples(n: int):

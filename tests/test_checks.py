@@ -6,8 +6,8 @@ from koszuldepth.checks import (
     check_index_equivalence,
     check_inverse_law,
 )
-from koszuldepth.matching import index_by_psi
-from koszuldepth.subsets import Subset
+
+from helpers import all_element_sets, index_by_psi
 
 
 def test_bulk_index_table_equals_percall_oracle():
@@ -15,12 +15,11 @@ def test_bulk_index_table_equals_percall_oracle():
     # exponential per-pair oracle, factored over one support at a time
     n = 5
     tables = match_tables(n)
-    for m_mask in range(1 << n):
-        M = Subset.from_mask(n, m_mask)
+    sets = list(all_element_sets(n))
+    for m_mask, M in enumerate(sets):
         table = psi_index_table(tables, m_mask)
         for g_mask in submasks(m_mask):
-            G = Subset.from_mask(n, g_mask)
-            assert table[g_mask] == index_by_psi(G, M)
+            assert table[g_mask] == index_by_psi(n, sets[g_mask], M)
 
 
 def test_inverse_law_sweep():

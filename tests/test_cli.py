@@ -60,6 +60,61 @@ VERIFY_8_4_JSON = {
 }
 
 
+# Complete check output, pinned byte for byte: the text of `check-lemma 7`
+# (exit 1: the unrestricted increment claim fails) and the JSON of
+# `check-matching 8 --format json`.
+CHECK_LEMMA_7 = (
+    "index increment: 519 admissible triples "
+    "(399 with non-negative restricted peak, 120 below), 40 failures\n"
+    "counterexample: M={1,3,5,7} G={3,5,7} H={1,5,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,3,5,7} G={3,5,7} H={1,5,7}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,4,5,7} G={4,5,7} H={1,4,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,4,5,7} G={4,5,7} H={1,4,7}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,4,5,7} G={3,5,7} H={1,5,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,4,5,7} G={4,5,7} H={1,4,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,3,4,5,7} G={3,5,7} H={1,5,7}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,3,4,5,7} G={4,5,7} H={1,4,7}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,6,7} G={3,6,7} H={1,6,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,3,6,7} G={3,6,7} H={1,6,7}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,4,6,7} G={4,6,7} H={1,4,6}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,4,6,7} G={4,6,7} H={1,4,6}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,4,6,7} G={3,6,7} H={1,6,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,4,6,7} G={4,6,7} H={1,4,6}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,3,4,6,7} G={3,6,7} H={1,6,7}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,3,4,6,7} G={4,6,7} H={1,4,6}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,5,6,7} G={5,6,7} H={1,5,6}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,2,5,6,7} G={5,6,7} H={1,5,6}: case 2, index 2 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,5,6,7} G={3,5,7} H={1,5,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "counterexample: M={1,3,5,6,7} G={3,6,7} H={1,6,7}: case 2, index 0 != expected 1 (index of G: 1)\n"
+    "... and 20 more counterexamples\n"
+    "FAIL index increment n=7\n"
+)
+
+CHECK_MATCHING_8_JSON = {
+    "passed": True,
+    "reports": [
+        {
+            "name": "inverse law n=8",
+            "passed": True,
+            "counts": {"subsets": 256, "psi_defined": 186, "failures": 0},
+            "failures": [],
+        },
+        {
+            "name": "index equivalence n=8",
+            "passed": True,
+            "counts": {"pairs": 6561, "failures": 0},
+            "failures": [],
+        },
+        {
+            "name": "greedy agreement n=8",
+            "passed": True,
+            "counts": {"upper_level_sets": 93, "upper_mismatches": 0, "low_level_mismatches": 0},
+            "failures": [],
+        },
+    ],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -191,12 +246,24 @@ def test_verify_jobs_flag(capsys):
 
 
 def test_check_commands(capsys):
-    code, out, _ = run(capsys, "check", "8", "inverse")
-    assert code == 0 and "PASS inverse law n=8" in out
-    code, out, _ = run(capsys, "check", "6", "index-eq")
-    assert code == 0
+    code, out, _ = run(capsys, "check-matching", "8", "inverse")
+    assert code == 0 and out.endswith("PASS inverse law n=8\n")
+    code, out, _ = run(capsys, "check-matching", "6", "index-eq")
+    assert code == 0 and out.count("PASS") == 1
     code, out, _ = run(capsys, "check-matching", "6")
     assert code == 0 and out.count("PASS") == 3
+
+
+def test_check_golden_text(capsys):
+    code, out, _ = run(capsys, "check-lemma", "7")
+    assert code == 1
+    assert out == CHECK_LEMMA_7
+
+
+def test_check_golden_json(capsys):
+    code, out, _ = run(capsys, "check-matching", "8", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(CHECK_MATCHING_8_JSON) + "\n"
 
 
 def test_check_lemma_finds_counterexamples(capsys):
@@ -205,7 +272,7 @@ def test_check_lemma_finds_counterexamples(capsys):
     assert code == 1
     assert "FAIL" in out
     assert "M={1,3} G={3} H={1}" in out
-    code, out, _ = run(capsys, "check", "4", "lemma-ind")
+    code, out, _ = run(capsys, "check-lemma", "4")
     assert code == 0  # even ground sets have no below-axis cases
 
 
@@ -213,18 +280,24 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["check", "5", "bogus"])
+    # the single-suite `check` subcommand is gone; check-matching and
+    # check-lemma cover every suite
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "8", "inverse"])
+    assert exc.value.code == 2
     code, _, err = run(capsys, "path", "7", "{8}")
     assert code == 2 and "error:" in err
     code, _, err = run(capsys, "path", "99", "{1}")
     assert code == 2
+    code, out, err = run(capsys, "check-matching", "5", "bogus")
+    assert code == 2 and out == "" and err.startswith("error:")
     # runs that would check nothing are refused, not passed
     for argv in (
         ("verify", "6", "3", "--box", "-1"),
         ("verify", "--all-n", "1"),
         ("verify", "6", "3", "--jobs", "0"),
         ("verify", "--all-n", "4", "--jobs", "-2"),
+        ("check-lemma", "1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error:")
@@ -237,6 +310,26 @@ def test_determinism(capsys):
     a = run(capsys, "decompose", "6", "3", "--format", "json")
     b = run(capsys, "decompose", "6", "3", "--format", "json")
     assert a == b
+
+
+def test_benchmark_tracer_installs():
+    # the benchmark tracer wraps package names by attribute; a renamed or
+    # deleted name breaks it, so install it against the current package
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = (
+        "import importlib.util, sys\n"
+        "sys.path.insert(0, 'perfbench')\n"
+        "spec = importlib.util.spec_from_file_location('tracer', 'perfbench/trace.py')\n"
+        "mod = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(mod)\n"
+        "mod.install(mod.Tracer())\n"
+        "print('installed')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "installed\n"
 
 
 def test_module_entrypoint():

@@ -1,5 +1,6 @@
 """Construction of the decomposition and every verification layer."""
 
+import re
 from itertools import product
 from math import comb
 
@@ -9,9 +10,8 @@ from hypothesis import given, strategies as st
 from koszuldepth.decomposition import (
     ContributionFamily,
     FamilyMember,
+    StepCheck,
     build_decomposition,
-    compute_Z,
-    compute_Z_by_search,
     contributes,
     contribution_family,
     decomposition_to_dict,
@@ -19,27 +19,37 @@ from koszuldepth.decomposition import (
     index_step_check,
     index_step_sweep,
     rank_full,
+    require_upper_half,
     sign_matrix,
-    summand_index_sets,
     triangle_check,
     verify_hilbert,
     verify_stanley,
 )
-from koszuldepth import matching
 from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.subsets import Subset, level_key
 
-from helpers import all_element_sets, naive_triangle, sympy_rank
+from helpers import (
+    admissible_triples,
+    all_element_sets,
+    naive_admissible,
+    naive_summands,
+    naive_triangle,
+    sympy_rank,
+)
 
 
 def S(n, elems=()):
     return Subset(n, elems)
 
 
+def _summand_sets(n, k):
+    return [sm.S for sm in build_decomposition(n, k).summands]
+
+
 def test_summand_index_sets_examples():
-    assert summand_index_sets(3, 1) == [S(3, [1]), S(3, [2]), S(3, [3]), S(3, [1, 2, 3])]
-    assert summand_index_sets(2, 1) == [S(2, [1]), S(2, [2])]
-    sets = summand_index_sets(7, 3)
+    assert _summand_sets(3, 1) == [S(3, [1]), S(3, [2]), S(3, [3]), S(3, [1, 2, 3])]
+    assert _summand_sets(2, 1) == [S(2, [1]), S(2, [2])]
+    sets = _summand_sets(7, 3)
     assert len(sets) == 57  # 35 + 21 + 1
     assert [len(s) for s in sets] == [3] * 35 + [5] * 21 + [7]
     # (level, squashed) order throughout
@@ -49,41 +59,21 @@ def test_summand_index_sets_examples():
 def test_range_guard():
     for n, k in ((4, 1), (3, 0), (3, 3), (5, 7), (6, 2)):
         with pytest.raises(ValueError):
-            summand_index_sets(n, k)
+            require_upper_half(n, k)
         with pytest.raises(ValueError):
             build_decomposition(n, k)
 
 
-def test_compute_Z_examples():
-    z, removed = compute_Z(S(3, [1]))
-    assert (z, removed) == (S(3, [1, 3]), 2)
-    z, removed = compute_Z(S(3, [3]))
-    assert (z, removed) == (S(3, [2, 3]), 1)
-    z, removed = compute_Z(S(3, [1, 2, 3]))
-    assert (z, removed) == (S(3, [1, 2, 3]), None)
-
-
-@pytest.mark.parametrize("n", range(2, 10))
-def test_compute_Z_agrees_with_search(n):
-    for k in range(max(n // 2, 1), n):
-        for s in summand_index_sets(n, k):
-            assert compute_Z(s) == compute_Z_by_search(s)
-
-
 @pytest.mark.parametrize("n", range(2, 11))
 def test_build_decomposition_matches_subset_replay(n):
-    # the decomposition is built from mask tables; replay it with the
-    # subset-level maps: iterate psi down to size k, search for the removed variable
+    # the decomposition is built from mask tables; replay it from first
+    # principles: step down to size k, search for the removed variable
     for k in range(max(n // 2, 1), n):
-        got = [(sm.S, sm.Z, sm.removed, sm.G) for sm in build_decomposition(n, k).summands]
-        expected = []
-        for s in summand_index_sets(n, k):
-            G = s
-            for _ in range(len(s) - k):
-                G = matching.psi(G).value
-            Z, removed = compute_Z_by_search(s)
-            expected.append((s, Z, removed, G))
-        assert got == expected
+        got = [
+            (set(sm.S.elements), set(sm.Z.elements), sm.removed, set(sm.G.elements))
+            for sm in build_decomposition(n, k).summands
+        ]
+        assert got == naive_summands(n, k)
 
 
 def test_build_decomposition_n3():
@@ -327,6 +317,28 @@ def test_contributions_depend_only_on_support(n):
             assert got == ref
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_index_step_check_on_every_triple(n):
+    # skip exactly on the inadmissible triples; on the others, the case,
+    # indices and verdict of the first-principles enumeration
+    expected = {}
+    for tr in admissible_triples(n):
+        status = "pass" if tr.index_H == tr.expected_H else "fail"
+        expected[tr.M, tr.G, tr.H] = StepCheck(
+            status, tr.case, tr.index_G, tr.index_H, tr.expected_H
+        )
+    sets = [frozenset(e) for e in all_element_sets(n)]
+    admissible = 0
+    for M, G, H in product(sets, repeat=3):
+        got = index_step_check(S(n, M), S(n, G), S(n, H))
+        if naive_admissible(n, M, G, H):
+            admissible += 1
+            assert got == expected[M, G, H]
+        else:
+            assert got == StepCheck("skip")
+    assert admissible == len(expected)
+
+
 def test_index_step_check_skip_example():
     M = S(7, [1, 2, 4, 5, 7])
     res = index_step_check(M, S(7, [1, 4, 7]), S(7, [1, 4, 5]))
@@ -371,6 +383,30 @@ def test_index_step_sweep_structure():
         # every failure is a case-2 triple whose added element is 1
         assert all("case 2" in f for f in rep.failures)
         assert all("H={1," in f for f in rep.failures)
+
+    # the failures, read back, are the failing triples of the first-principles
+    # enumeration, in the sweep's order: support, size, G, added element
+    record = re.compile(
+        r"M=\{(.*)\} G=\{(.*)\} H=\{(.*)\}: case (\d), index (\d+) != "
+        r"expected (\d+) \(index of G: (\d+)\)"
+    )
+
+    def mask(elements):
+        return sum(1 << (e - 1) for e in elements)
+
+    for n in range(1, 8):
+        got = []
+        for f in index_step_sweep(n).failures:
+            m, g, h, *numbers = record.fullmatch(f).groups()
+            sets = (frozenset(int(e) for e in part.split(",") if e) for part in (m, g, h))
+            got.append((*sets, *map(int, numbers)))
+        failing = [
+            (tr.M, tr.G, tr.H, tr.case, tr.index_H, tr.expected_H, tr.index_G)
+            for tr in admissible_triples(n)
+            if tr.index_H != tr.expected_H
+        ]
+        failing.sort(key=lambda t: (mask(t[0]), len(t[1]), mask(t[1]), mask(t[2])))
+        assert got == failing
 
 
 def test_verify_stanley_small():

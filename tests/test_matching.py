@@ -6,14 +6,13 @@ from hypothesis import given, settings, strategies as st
 from koszuldepth.matching import (
     greedy_lex_matching,
     index,
-    index_by_psi,
     phi,
     psi,
     psi_tilde,
 )
 from koszuldepth.subsets import MAX_N, Subset, lattice_path
 
-from helpers import all_element_sets
+from helpers import all_element_sets, index_by_psi
 
 
 def test_psi_examples():
@@ -116,10 +115,10 @@ def test_index_contract():
 
 
 def test_index_by_psi_examples():
-    M = Subset(7, [1, 2, 4, 5, 7])
-    assert index_by_psi(Subset(7, [1, 4, 7]), M) == 2
-    assert index_by_psi(Subset(7, [1, 4, 5]), M) == 0
-    assert index_by_psi(M, M) == 0
+    M = {1, 2, 4, 5, 7}
+    assert index_by_psi(7, {1, 4, 7}, M) == 2
+    assert index_by_psi(7, {1, 4, 5}, M) == 0
+    assert index_by_psi(7, M, M) == 0
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -131,7 +130,7 @@ def test_index_definitions_agree(n):
             if mask & ~M.mask:
                 continue
             G = Subset.from_mask(n, mask)
-            assert index(G, M) == index_by_psi(G, M)
+            assert index(G, M) == index_by_psi(n, set(G.elements), m_elems)
 
 
 def test_greedy_examples():
