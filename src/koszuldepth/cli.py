@@ -213,8 +213,11 @@ def cmd_verify(args) -> int:
         for r in results:
             for line in r["lines"]:
                 print(line)
-            for f in r["failures"][:20]:
+            shown = r["failures"][:20]
+            for f in shown:
                 print(f"counterexample: {f}")
+            if len(r["failures"]) > len(shown):
+                print(f"... and {len(r['failures']) - len(shown)} more counterexamples")
             print(("PASS " if r["passed"] else "FAIL ") + r["name"])
     return 0 if all_passed else 1
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", type=int, default=None, metavar="D",
                     help="also run the boxed dimension check with entries up to D")
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
-                    help="exact rank checking (auto: on for n <= 9)")
+                    help="exact rank checking (auto: on for n <= 13)")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
                     help="worker processes for sweeps")
     _add_format(sp)

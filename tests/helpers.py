@@ -1,8 +1,8 @@
 """Independent oracles used to derive and pin expected values.
 
 Everything here is deliberately written from first principles (plain loops,
-brute enumeration, sympy for exact rank) so that it shares no code path with
-the package under test.
+brute enumeration, sympy for exact rank, list elimination for rank mod 2) so
+that it shares no code path with the package under test.
 """
 
 from __future__ import annotations
@@ -104,6 +104,23 @@ def sympy_rank(rows) -> int:
     if not rows:
         return 0
     return sympy.Matrix([list(r) for r in rows]).rank()
+
+
+def naive_rank_mod2(rows) -> int:
+    """Rank over GF(2) of 0/1 rows given as lists, by Gauss-Jordan
+    elimination on a list-of-lists copy."""
+    m = [[e % 2 for e in r] for r in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 def koszul_image_dim(k: int, exponents) -> int:

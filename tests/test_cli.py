@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from koszuldepth import decomposition
 from koszuldepth.cli import main
+from koszuldepth.report import Report
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -54,6 +56,54 @@ VERIFY_8_4_JSON = {
             "depth: |Z| sizes [7, 8], minimum 7 = n-1 attained by 64 summands",
             "conclusion: sdepth M(8,4) >= 7 verified by this decomposition; "
             "equality with 7 = n-1 follows from the known Hilbert depth upper bound "
+            "(Bruns, Krattenthaler & Uliczka 2010), which is cited here, not verified.",
+        ],
+    }],
+}
+
+
+# The largest tasks of the rank sweep, pinned the same way: the text of
+# `verify 11 6 --rank always` and the JSON of `verify 10 5 --rank always
+# --format json`.
+VERIFY_11_6 = (
+    "stanley decomposition of M(11,6): 638 summands\n"
+    "hilbert identity (squarefree): 2047 degrees checked, 0 failures\n"
+    "families: 1024 supports, sizes ok, two-form agreement held\n"
+    "triangle condition (squashed order): 0 violations\n"
+    "exact rank: 1024 sign matrices, 0 rank deficient\n"
+    "depth: |Z| sizes [10, 11], minimum 10 = n-1 attained by 386 summands\n"
+    "conclusion: sdepth M(11,6) >= 10 verified by this decomposition; "
+    "equality with 10 = n-1 follows from the known Hilbert depth upper bound "
+    "(Bruns, Krattenthaler & Uliczka 2010), which is cited here, not verified.\n"
+    "PASS stanley decomposition n=11 k=6\n"
+)
+
+VERIFY_10_5_JSON = {
+    "passed": True,
+    "reports": [{
+        "name": "stanley decomposition n=10 k=5",
+        "passed": True,
+        "counts": {
+            "hilbert_supports": 1023,
+            "hilbert_failures": 0,
+            "summands": 382,
+            "supports": 638,
+            "triangle_violations": 0,
+            "family_size_mismatches": 0,
+            "rank_checked": 638,
+            "rank_failures": 0,
+            "min_Z": 9,
+        },
+        "failures": [],
+        "lines": [
+            "stanley decomposition of M(10,5): 382 summands",
+            "hilbert identity (squarefree): 1023 degrees checked, 0 failures",
+            "families: 638 supports, sizes ok, two-form agreement held",
+            "triangle condition (squashed order): 0 violations",
+            "exact rank: 638 sign matrices, 0 rank deficient",
+            "depth: |Z| sizes [9, 10], minimum 9 = n-1 attained by 256 summands",
+            "conclusion: sdepth M(10,5) >= 9 verified by this decomposition; "
+            "equality with 9 = n-1 follows from the known Hilbert depth upper bound "
             "(Bruns, Krattenthaler & Uliczka 2010), which is cited here, not verified.",
         ],
     }],
@@ -219,6 +269,32 @@ def test_verify_golden_json(capsys):
     code, out, _ = run(capsys, "verify", "8", "4", "--format", "json")
     assert code == 0
     assert out == json.dumps(VERIFY_8_4_JSON) + "\n"
+
+
+def test_verify_golden_rank_sweep_tasks(capsys):
+    code, out, _ = run(capsys, "verify", "11", "6", "--rank", "always")
+    assert code == 0
+    assert out == VERIFY_11_6
+    code, out, _ = run(capsys, "verify", "10", "5", "--rank", "always", "--format", "json")
+    assert code == 0
+    assert out == json.dumps(VERIFY_10_5_JSON) + "\n"
+
+
+def test_verify_text_counts_cut_counterexamples(capsys, monkeypatch):
+    def failing(n, k, check_rank=None):
+        rep = Report(f"stanley decomposition n={n} k={k}")
+        for i in range(25):
+            rep.fail(f"failure {i}")
+        return rep
+
+    monkeypatch.setattr(decomposition, "verify_stanley", failing)
+    code, out, _ = run(capsys, "verify", "6", "3")
+    assert code == 1
+    assert out == (
+        "".join(f"counterexample: failure {i}\n" for i in range(20))
+        + "... and 5 more counterexamples\n"
+        + "FAIL stanley decomposition n=6 k=3\n"
+    )
 
 
 def test_verify_out_of_range(capsys):

@@ -16,15 +16,18 @@ from koszuldepth.decomposition import (
     contribution_family,
     decomposition_to_dict,
     distinguished_subset,
+    facet_rows,
     index_step_check,
     index_step_sweep,
     rank_full,
+    rank_full_mod2,
     require_upper_half,
     sign_matrix,
     triangle_check,
     verify_hilbert,
     verify_stanley,
 )
+from koszuldepth import decomposition
 from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.subsets import Subset, level_key
 
@@ -32,6 +35,7 @@ from helpers import (
     admissible_triples,
     all_element_sets,
     naive_admissible,
+    naive_rank_mod2,
     naive_summands,
     naive_triangle,
     sympy_rank,
@@ -285,6 +289,64 @@ def test_triangle_implies_rank(n):
                 assert rank_full(sign_matrix(fam))
 
 
+@given(st.integers(0, 7), st.integers(1, 9), st.data())
+def test_rank_full_mod2_matches_naive_oracle(rows, cols, data):
+    m = [[data.draw(st.sampled_from((0, 1))) for _ in range(cols)] for _ in range(rows)]
+    ints = [sum(e << j for j, e in enumerate(r)) for r in m]
+    assert rank_full_mod2(ints) == (naive_rank_mod2(m) == rows)
+
+
+def test_rank_full_mod2_basics():
+    assert rank_full_mod2([])
+    assert rank_full_mod2([0b011, 0b110, 0b100])
+    assert not rank_full_mod2([0b011, 0b110, 0b101])
+    assert not rank_full_mod2([0b10, 0])
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rank_mod2_agrees_with_bareiss(n):
+    # every upper-half support: the rows are the sign matrix mod 2, and the
+    # mod-2 verdict equals the exact one
+    for k in range(max(n // 2, 1), n):
+        for elems in all_element_sets(n):
+            if len(elems) < k:
+                continue
+            M = S(n, elems)
+            fam = contribution_family(n, k, M)
+            matrix = sign_matrix(fam)
+            rows = facet_rows(M.mask, k, [mem.G.mask for mem in fam.members])
+            assert rows == [sum((e % 2) << j for j, e in enumerate(r)) for r in matrix]
+            assert rank_full_mod2(rows) == rank_full(matrix)
+
+
+def test_repeated_member_is_deficient_on_both_fields():
+    fam = contribution_family(7, 3, S(7, [1, 2, 4, 5, 7]))
+    doubled = ContributionFamily(fam.M, fam.k, fam.members + fam.members[:1])
+    masks = [mem.G.mask for mem in doubled.members]
+    assert not rank_full_mod2(facet_rows(fam.M.mask, 3, masks))
+    assert not rank_full(sign_matrix(doubled))
+
+
+def test_verify_stanley_falls_back_to_bareiss(monkeypatch):
+    exact_calls = []
+
+    def counted(matrix):
+        exact_calls.append(len(matrix))
+        return rank_full(matrix)
+
+    monkeypatch.setattr(decomposition, "rank_full_mod2", lambda rows: False)
+    monkeypatch.setattr(decomposition, "rank_full", counted)
+    rep = verify_stanley(7, 3, check_rank=True)
+    assert rep.passed
+    assert rep.counts["rank_checked"] == 99 and rep.counts["rank_failures"] == 0
+    assert len(exact_calls) == 99
+    # a deficiency on both fields is reported per support
+    monkeypatch.setattr(decomposition, "rank_full", lambda matrix: False)
+    rep = verify_stanley(7, 3, check_rank=True)
+    assert not rep.passed and rep.counts["rank_failures"] == 99
+    assert "support {1,2,3}: sign matrix rank deficient" in rep.failures
+
+
 def test_verify_hilbert_squarefree_and_box():
     d = build_decomposition(3, 1)
     rep = verify_hilbert(d, "squarefree")
@@ -420,6 +482,12 @@ def test_verify_stanley_small():
     assert rep.counts["summands"] == 57
     assert rep.counts["supports"] == 99
     assert rep.counts["rank_checked"] == 99
+
+
+def test_verify_stanley_default_checks_rank_at_n_10():
+    rep = verify_stanley(10, 5)
+    assert rep.passed
+    assert rep.counts["rank_checked"] == rep.counts["supports"] == 638
 
 
 def test_verify_stanley_rank_toggle():
