@@ -100,15 +100,14 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
 
 
 def psi_index_table(tables: MatchTables, m: int) -> dict[int, int]:
-    """Index of every subset of m at once, by walking all downward chains."""
+    """Index of every subset of m at once: the longest downward chain into it
+    from a subset of m.  ``psi`` deletes a bit, so in decreasing mask order
+    each subset has received every chain before it pushes its own on."""
     psi_t = tables.psi
     ind: dict[int, int] = {}
-    for start in submasks(m):
-        cur: int | None = start
-        i = 0
-        while cur is not None:
-            if ind.get(cur, -1) < i:
-                ind[cur] = i
-            cur = psi_t[cur]
-            i += 1
+    for g in submasks(m):
+        i = ind.setdefault(g, 0)
+        prev = psi_t[g]
+        if prev is not None and ind.get(prev, -1) <= i:
+            ind[prev] = i + 1
     return ind

@@ -244,9 +244,11 @@ def _run_checks(n: int, which: list[str], fmt: str) -> int:
 
 def cmd_check_matching(args) -> int:
     which = args.which or ["inverse", "index-eq", "greedy"]
-    for name in which:
+    for i, name in enumerate(which):
         if name not in ("inverse", "index-eq", "greedy"):
             raise ValueError(f"unknown matching check {name!r}")
+        if name in which[:i]:
+            raise ValueError(f"matching check {name!r} given more than once")
     return _run_checks(args.n, which, args.format)
 
 
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("check-matching", help="matching law suites (inverse, index-eq, greedy)")
-    sp.add_argument("n", type=int, help="recommended maxima: inverse 14, index-eq 10, greedy 12")
+    sp.add_argument("n", type=int, help="recommended maxima: inverse 20, index-eq 15, greedy 17")
     sp.add_argument("which", nargs="*", metavar="which",
                     help="any of: inverse, index-eq, greedy (default: all three)")
     _add_format(sp)

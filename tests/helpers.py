@@ -144,6 +144,30 @@ def all_element_sets(n: int):
         yield {e for e in range(1, n + 1) if (mask >> (e - 1)) & 1}
 
 
+def naive_index_disagreements(tables) -> list[tuple[int, int, int, int]]:
+    """(M, G, upward, downward) masks and indices for every pair G inside M
+    whose two indices differ on ``tables``, M ascending, G descending.  The
+    upward index walks ``tables.phi`` from G for each pair; the downward one
+    is the longest ``tables.psi`` chain into G, over chains started from every
+    subset of M."""
+    out = []
+    for m in range(1 << tables.n):
+        inside = [g for g in range(m, -1, -1) if g & m == g]
+        down: dict[int, int] = {}
+        for start in inside:
+            cur, steps = start, 0
+            while cur is not None:
+                down[cur] = max(down.get(cur, 0), steps)
+                cur, steps = tables.psi[cur], steps + 1
+        for g in inside:
+            cur, up = g, 0
+            while tables.phi[cur] is not None and tables.phi[cur] & m == tables.phi[cur]:
+                cur, up = tables.phi[cur], up + 1
+            if up != down[g]:
+                out.append((m, g, up, down[g]))
+    return out
+
+
 def naive_facet(n: int, elements: set[int]) -> set[int]:
     """The distinguished facet: drop the first member where the height over
     the members alone is largest."""

@@ -367,6 +367,9 @@ def test_usage_errors(capsys):
     assert code == 2
     code, out, err = run(capsys, "check-matching", "5", "bogus")
     assert code == 2 and out == "" and err.startswith("error:")
+    # a repeated suite would print its report twice
+    code, out, err = run(capsys, "check-matching", "4", "inverse", "inverse")
+    assert code == 2 and out == "" and err.startswith("error:")
     # runs that would check nothing are refused, not passed
     for argv in (
         ("verify", "6", "3", "--box", "-1"),
