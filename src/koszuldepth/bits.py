@@ -1,10 +1,9 @@
-"""The integer-mask engine: matching tables and submask walks.
+"""The integer-mask engine: the peak scan, matching tables and submask walks.
 
 Bit e-1 encodes element e, so on a fixed cardinality level the squashed
-order is plain integer order on masks.  ``match_tables`` computes ``psi``,
-``phi`` and ``psi_tilde`` for every mask from one left-to-right scan of its
-lattice path; the subset-level maps in :mod:`koszuldepth.matching` are the
-reference implementation these tables are tested against.
+order is plain integer order on masks.  ``scan`` is the one place where the
+peaks of a lattice path are found: ``match_tables`` runs it on every mask,
+and the subset-level maps in :mod:`koszuldepth.matching` run it on one.
 """
 
 from __future__ import annotations
@@ -29,35 +28,44 @@ class MatchTables:
     psi_tilde: tuple[int | None, ...]
 
 
+def scan(n: int, mask: int) -> tuple[int, int, int]:
+    """Peak positions ``(nu, mu, pivot)`` of the lattice path of ``mask``.
+
+    One left-to-right pass tracks the running height, the maximum over the
+    origin and the members with the first and last position attaining it
+    (the peaks ``nu`` and ``mu``, 0 for the origin), and the first member
+    where the maximum over the members alone is attained (``pivot``, 0 for
+    the empty mask).  ``psi`` deletes ``nu``, ``phi`` inserts ``mu + 1`` and
+    ``psi_tilde`` deletes ``pivot``.
+    """
+    height = top = nu = mu = 0
+    top_g = -n - 1
+    pivot = 0
+    for pos in range(1, n + 1):
+        if (mask >> (pos - 1)) & 1:
+            height += 1
+            if height > top:
+                top, nu, mu = height, pos, pos
+            elif height == top:
+                mu = pos
+            if height > top_g:
+                top_g, pivot = height, pos
+        else:
+            height -= 1
+    return nu, mu, pivot
+
+
 @lru_cache(maxsize=None)
 def match_tables(n: int) -> MatchTables:
-    """``psi``, ``phi`` and ``psi_tilde`` of every mask over {1..n}.
-
-    One scan per mask tracks the running height, the maximum over the origin
-    and the members with the first and last position attaining it (the
-    peaks ``nu`` and ``mu``), and the first position where the maximum over
-    the members alone is attained (the pivot of ``psi_tilde``).
-    """
+    """``psi``, ``phi`` and ``psi_tilde`` of every mask over {1..n}, by one
+    ``scan`` per mask."""
     check_ground(n)
     size = 1 << n
     psi_t: list[int | None] = [None] * size
     phi_t: list[int | None] = [None] * size
     tilde_t: list[int | None] = [None] * size
     for mask in range(size):
-        height = top = nu = mu = 0
-        top_g = -n - 1
-        pivot = 0
-        for pos in range(1, n + 1):
-            if (mask >> (pos - 1)) & 1:
-                height += 1
-                if height > top:
-                    top, nu, mu = height, pos, pos
-                elif height == top:
-                    mu = pos
-                if height > top_g:
-                    top_g, pivot = height, pos
-            else:
-                height -= 1
+        nu, mu, pivot = scan(n, mask)
         if nu:
             psi_t[mask] = mask ^ (1 << (nu - 1))
         if mu != n:

@@ -17,10 +17,6 @@ from .report import Report
 from .subsets import Subset, check_ground, lattice_path, parse_subset
 
 
-def _subset(n: int, text: str) -> Subset:
-    return parse_subset(n, text)
-
-
 def render_path(G: Subset) -> list[str]:
     """ASCII drawing of the lattice path, one row per height unit, with the
     first and last peak positions marked beneath the axis."""
@@ -51,7 +47,7 @@ def _match_str(result) -> str:
 
 
 def cmd_path(args) -> int:
-    G = _subset(args.n, args.set)
+    G = parse_subset(args.n, args.set)
     path = lattice_path(G)
     down = matching.psi(G)
     up = matching.phi(G)
@@ -80,21 +76,9 @@ def cmd_path(args) -> int:
     return 0
 
 
-def cmd_psi(args) -> int:
-    result = matching.psi(_subset(args.n, args.set))
-    if args.format == "json":
-        print(json.dumps({
-            "defined": result.defined,
-            "value": list(result.value) if result.defined else None,
-            "pivot": result.pivot,
-        }))
-    else:
-        print(_match_str(result))
-    return 0
-
-
-def cmd_phi(args) -> int:
-    result = matching.phi(_subset(args.n, args.set))
+def cmd_match(args) -> int:
+    """``psi`` or ``phi``, named by the subcommand."""
+    result = getattr(matching, args.command)(parse_subset(args.n, args.set))
     if args.format == "json":
         print(json.dumps({
             "defined": result.defined,
@@ -107,8 +91,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_index(args) -> int:
-    M = _subset(args.n, args.M)
-    G = _subset(args.n, args.G)
+    M = parse_subset(args.n, args.M)
+    G = parse_subset(args.n, args.G)
     value = matching.index(G, M)
     if args.format == "json":
         print(json.dumps({"index": value}))
@@ -118,7 +102,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_family(args) -> int:
-    M = _subset(args.n, args.M)
+    M = parse_subset(args.n, args.M)
     family = decomposition.contribution_family(args.n, args.k, M)
     matrix = decomposition.sign_matrix(family) if args.matrix else None
     if args.format == "json":
@@ -162,20 +146,19 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _verify_one(task) -> dict:
+def _verify_one(task) -> Report:
+    """The report of one (n, k) task, with the ``--box`` check merged in."""
     n, k, box, rank = task
     rep = decomposition.verify_stanley(n, k, check_rank=rank)
-    out = rep.to_json()
-    out["lines"] = list(rep.lines)
     if box is not None:
         box_rep = decomposition.verify_hilbert(
             decomposition.build_decomposition(n, k), "box", box
         )
-        out["passed"] = out["passed"] and box_rep.passed
-        out["lines"].extend(box_rep.lines)
-        out["failures"].extend(box_rep.failures)
-        out["counts"].update({f"box_{key}": v for key, v in box_rep.counts.items()})
-    return out
+        rep.passed = rep.passed and box_rep.passed
+        rep.lines.extend(box_rep.lines)
+        rep.failures.extend(box_rep.failures)
+        rep.counts.update({f"box_{key}": v for key, v in box_rep.counts.items()})
+    return rep
 
 
 def cmd_verify(args) -> int:
@@ -185,6 +168,8 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs needs at least 1 worker, got {args.jobs}")
     if args.all_n is not None:
+        if args.n is not None or args.k is not None:
+            raise ValueError("give either n and k or --all-n N, not both")
         check_ground(args.all_n)
         if args.all_n < 2:
             raise ValueError(f"--all-n needs N >= 2, the smallest n with a valid k; got {args.all_n}")
@@ -206,19 +191,13 @@ def cmd_verify(args) -> int:
     else:
         results = [_verify_one(t) for t in tasks]
 
-    all_passed = all(r["passed"] for r in results)
+    all_passed = all(r.passed for r in results)
     if args.format == "json":
-        print(json.dumps({"passed": all_passed, "reports": results}))
+        reports = [{**r.to_json(), "lines": r.lines} for r in results]
+        print(json.dumps({"passed": all_passed, "reports": reports}))
     else:
         for r in results:
-            for line in r["lines"]:
-                print(line)
-            shown = r["failures"][:20]
-            for f in shown:
-                print(f"counterexample: {f}")
-            if len(r["failures"]) > len(shown):
-                print(f"... and {len(r['failures']) - len(shown)} more counterexamples")
-            print(("PASS " if r["passed"] else "FAIL ") + r["name"])
+            print(r.text())
     return 0 if all_passed else 1
 
 
@@ -278,15 +257,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(sp)
     sp.set_defaults(func=cmd_path)
 
-    for name, func, help_text in (
-        ("psi", cmd_psi, "apply the downward matching"),
-        ("phi", cmd_phi, "apply the upward matching"),
+    for name, help_text in (
+        ("psi", "apply the downward matching"),
+        ("phi", "apply the upward matching"),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("n", type=int)
         sp.add_argument("set")
         _add_format(sp)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=cmd_match)
 
     sp = sub.add_parser("index", help="index of G inside M")
     sp.add_argument("n", type=int)

@@ -4,9 +4,10 @@
 its maximum over G and the origin; ``phi`` inserts the successor of the last
 such position.  On their respective domains the two maps are mutually
 inverse, so the index of G inside M (the number of upward steps that stay
-inside M) is computable by iterating ``phi``.  These subset-level maps answer
-single-subset queries and are the reference the tables of
-:mod:`koszuldepth.bits`, which every sweep runs on, are tested against.
+inside M) is computable by iterating ``phi``.  The maps here are ``Subset``
+adapters over :func:`koszuldepth.bits.scan`, the one peak scan that the
+sweep tables also run on; the independent reference they are tested
+against lives in the test suite's helpers.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .bits import scan
+# lattice_path is unused here, but the benchmark tracer wraps this module's binding
 from .subsets import MAX_N, Subset, lattice_path, same_ground
 
 
@@ -34,18 +37,18 @@ _UNDEFINED = MatchResult(False)
 
 def psi(G: Subset) -> MatchResult:
     """Delete the first peak of G's lattice path; undefined iff the peak is the origin."""
-    path = lattice_path(G)
-    if path.nu == 0:
+    nu, _, _ = scan(G.n, G.mask)
+    if nu == 0:
         return _UNDEFINED
-    return MatchResult(True, G.without_element(path.nu), path.nu)
+    return MatchResult(True, Subset(G.n, G.elements - {nu}), nu)
 
 
 def phi(G: Subset) -> MatchResult:
     """Insert the successor of the last peak; undefined iff that peak is at n."""
-    path = lattice_path(G)
-    if path.mu == G.n:
+    _, mu, _ = scan(G.n, G.mask)
+    if mu == G.n:
         return _UNDEFINED
-    return MatchResult(True, G.with_element(path.mu + 1), path.mu + 1)
+    return MatchResult(True, Subset(G.n, G.elements | {mu + 1}), mu + 1)
 
 
 def psi_tilde(G: Subset) -> MatchResult:
@@ -56,28 +59,27 @@ def psi_tilde(G: Subset) -> MatchResult:
     """
     if not G.elements:
         raise ValueError("psi_tilde needs a non-empty subset")
-    heights = lattice_path(G).heights
-    alpha = max(heights[g] for g in G.elements)
-    pivot = min(g for g in G.sorted_elements() if heights[g] == alpha)
-    return MatchResult(True, G.without_element(pivot), pivot)
+    _, _, pivot = scan(G.n, G.mask)
+    return MatchResult(True, Subset(G.n, G.elements - {pivot}), pivot)
 
 
 def index(G: Subset, M: Subset) -> int:
     """Largest i such that the i-th upward iterate of G is defined and inside M.
 
     Since ``phi`` only adds elements, the admissible iterates form an initial
-    segment and a simple loop suffices.
+    segment and a simple loop on masks suffices.
     """
     same_ground(G, M)
     if not G.elements <= M.elements:
         raise ValueError(f"{G} is not contained in {M}")
+    n, m = G.n, M.mask
+    cur = G.mask
     i = 0
-    cur = G
     while True:
-        step = phi(cur)
-        if not step.defined or not step.value.elements <= M.elements:
+        _, mu, _ = scan(n, cur)
+        if mu == n or not (m >> mu) & 1:
             return i
-        cur = step.value
+        cur |= 1 << mu
         i += 1
 
 

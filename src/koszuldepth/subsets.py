@@ -1,9 +1,10 @@
 """Subsets of {1..n}, their lattice paths, and the two linear orders.
 
 A subset G of {1..n} is read as a walk: position g steps up if g lies in G
-and down otherwise.  The resulting height profile drives every matching map
-in :mod:`koszuldepth.matching`, so a subset carries its ground set size n
-explicitly and refuses to interact with subsets over a different ground set.
+and down otherwise.  The matching maps read the peaks of that walk off the
+mask scan in :mod:`koszuldepth.bits`; ``lattice_path`` spells the whole
+profile out for display.  A subset carries its ground set size n explicitly
+and refuses to interact with subsets over a different ground set.
 """
 
 from __future__ import annotations
@@ -75,17 +76,6 @@ class Subset:
     def issubset(self, other: Subset) -> bool:
         same_ground(self, other)
         return self.elements <= other.elements
-
-    def with_element(self, e: int) -> Subset:
-        return Subset(self.n, self.elements | {e})
-
-    def without_element(self, e: int) -> Subset:
-        if e not in self.elements:
-            raise ValueError(f"{e} not in {self}")
-        return Subset(self.n, self.elements - {e})
-
-    def complement(self) -> Subset:
-        return Subset(self.n, set(range(1, self.n + 1)) - self.elements)
 
 
 def same_ground(a: Subset, b: Subset) -> None:

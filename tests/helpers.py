@@ -29,15 +29,14 @@ def naive_path(n: int, elements: set[int]):
 
 
 def naive_index_up(n: int, G: set[int], M: set[int]) -> int:
-    """Index of G inside M: how often the upward step (insert the successor
-    of the last peak, origin included) can be taken without leaving M."""
+    """Index of G inside M: how often the upward step can be taken without
+    leaving M."""
     cur = set(G)
     steps = 0
     while True:
-        _, _, _, last = naive_path(n, cur)
-        if last == n or last + 1 not in M:
+        cur = naive_phi(n, cur)
+        if cur is None or not cur <= M:
             return steps
-        cur.add(last + 1)
         steps += 1
 
 
@@ -46,6 +45,13 @@ def naive_psi(n: int, elements: set[int]) -> set[int] | None:
     when that peak is the origin."""
     _, _, first, _ = naive_path(n, elements)
     return None if first == 0 else elements - {first}
+
+
+def naive_phi(n: int, elements: set[int]) -> set[int] | None:
+    """The upward step: insert the successor of the last peak (origin
+    included), or None when that peak is n."""
+    _, _, _, last = naive_path(n, elements)
+    return None if last == n else elements | {last + 1}
 
 
 def index_by_psi(n: int, G: set[int], M: set[int]) -> int:

@@ -376,6 +376,8 @@ def test_usage_errors(capsys):
         ("verify", "--all-n", "1"),
         ("verify", "6", "3", "--jobs", "0"),
         ("verify", "--all-n", "4", "--jobs", "-2"),
+        # n and k would be ignored by the sweep
+        ("verify", "7", "3", "--all-n", "3"),
         ("check-lemma", "1"),
     ):
         code, out, err = run(capsys, *argv)

@@ -12,7 +12,15 @@ from koszuldepth.matching import (
 )
 from koszuldepth.subsets import MAX_N, Subset, lattice_path
 
-from helpers import all_element_sets, index_by_psi
+from helpers import all_element_sets, index_by_psi, naive_facet, naive_phi, naive_psi
+
+
+def _step(result):
+    return (set(result.value.elements), result.pivot) if result.defined else None
+
+
+def _naive_step(elements, image):
+    return None if image is None else (image, *(elements ^ image))
 
 
 def test_psi_examples():
@@ -96,6 +104,13 @@ def test_inverse_laws_random_large_ground(n, data):
         assert phi(down.value).value == g
     if up.defined:
         assert psi(up.value).value == g
+    # values and pivots against the independent oracles
+    elems = set(g.elements)
+    assert [_step(down), _step(up), _step(psi_tilde(g)) if elems else None] == [
+        _naive_step(elems, naive_psi(n, elems)),
+        _naive_step(elems, naive_phi(n, elems)),
+        _naive_step(elems, naive_facet(n, elems) if elems else None),
+    ]
 
 
 def test_index_examples():
