@@ -89,7 +89,7 @@ def sized_submasks(mask: int, k: int) -> list[int]:
     """The k-element subsets of ``mask``, ascending (= squashed order)."""
     high_first = [1 << e for e in range(mask.bit_length() - 1, -1, -1) if (mask >> e) & 1]
     # combinations of the bits taken highest first come out in descending order
-    out = [sum(c) for c in combinations(high_first, k)]
+    out = list(map(sum, combinations(high_first, k)))
     out.reverse()
     return out
 
@@ -105,6 +105,42 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
             return i
         cur = nxt
         i += 1
+
+
+@lru_cache(maxsize=None)
+def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
+    """Per k-subset g over {1..n}: ``(added, facet, probe)``.
+
+    ``added`` is the set of elements the upward chain phi(g), phi^2(g), ...
+    inserts.  phi inserts the successor of the last peak, and the inserted
+    element is a peak of the result, so the next insertion lies above it:
+    the chain inserts its elements in increasing order, and ``added`` fixes
+    every chain mask.  ``facet`` is the distinguished facet psi_tilde(g);
+    ``probe`` holds the elements outside g below the pivot that psi_tilde
+    deletes.
+    """
+    tables = match_tables(n)
+    phi_t, tilde_t = tables.phi, tables.psi_tilde
+    out = {}
+    for g in sized_submasks((1 << n) - 1, k):
+        top = g
+        while (nxt := phi_t[top]) is not None:
+            assert nxt ^ top > top ^ g, "upward chain inserted below an earlier insertion"
+            top = nxt
+        t = tilde_t[g]
+        below = (1 << ((g ^ t).bit_length() - 1)) - 1
+        out[g] = (top ^ g, t, below & ~g)
+    return out
+
+
+def chain_index(added: int, m: int) -> int:
+    """Index of g in M: how many leading masks of g's upward chain lie inside
+    M, that is how many elements the chain inserts before the first one M
+    lacks (``added`` as in :func:`k_subset_table`)."""
+    missing = added & ~m
+    if missing:
+        added &= (missing & -missing) - 1
+    return added.bit_count()
 
 
 def psi_index_table(tables: MatchTables, m: int) -> dict[int, int]:

@@ -19,7 +19,16 @@ from itertools import product
 from math import comb
 
 from . import matching
-from .bits import MatchTables, bit_elements, match_tables, phi_index, sized_submasks, submasks
+from .bits import (
+    MatchTables,
+    bit_elements,
+    chain_index,
+    k_subset_table,
+    match_tables,
+    phi_index,
+    sized_submasks,
+    submasks,
+)
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m, indicator
 from .report import Report
 # lattice_path is unused here, but the benchmark tracer wraps this module's binding
@@ -112,6 +121,15 @@ def contributes(summand: Summand, m: Multidegree) -> bool:
     return rest.support().elements <= summand.Z.elements
 
 
+class UndefinedScript(RuntimeError):
+    """The downward matching runs out before a summand's generator reaches
+    size k; this happens only below the range guard."""
+
+    def __init__(self, mask: int) -> None:
+        super().__init__(f"downward matching undefined below mask {mask:#x}")
+        self.mask = mask
+
+
 @lru_cache(maxsize=None)
 def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     """(S mask, removed element, G mask) per summand, in (level, squashed) order."""
@@ -127,7 +145,7 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
             for _ in range(size - k):
                 nxt = tables.psi[g_mask]
                 if nxt is None:
-                    raise RuntimeError(f"downward matching undefined below mask {s_mask:#x}")
+                    raise UndefinedScript(s_mask)
                 g_mask = nxt
             out.append((s_mask, removed, g_mask))
     return tuple(out)
@@ -156,28 +174,50 @@ def _summand_families(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, _push_summands(n, _script(n, k))))
 
 
-def _family_members(n: int, k: int, m_mask: int, tables: MatchTables) -> list[tuple[int, int]]:
-    """Members of the contribution family for support mask ``m_mask``.
+def _families_disagree(m_mask: int) -> RuntimeError:
+    return RuntimeError(f"summand-based and parity-based families disagree on mask {m_mask:#x}")
 
-    Builds the family twice: from the qualifying summands, and as the
-    k-subsets of even index.  A mismatch (or a repeated generator) would
-    break the dimension count, so either raises.
+
+def _support_pass(n: int, k: int, m_mask: int) -> tuple[list[tuple[int, int]], bool]:
+    """The contribution family of support mask ``m_mask`` as (G mask, index)
+    pairs, ascending, and whether some member's distinguished facet lies
+    inside an earlier member.
+
+    One loop over the k-subsets of M builds the family twice: as the
+    k-subsets of even index, and as the generators of the summands
+    contributing at M.  A repeated generator, or a k-subset of even index
+    that is not a generator, or a count mismatch, would break the dimension
+    count, so each raises.  The earlier k-subsets of M that contain a
+    member's facet are the facet plus an element of M below the member's
+    pivot, so only those are probed, against the generators, which equal
+    the members whenever the pass returns.
     """
-    from_summands = _summand_families(n, k)[m_mask]
-    by_parity = []
+    gens = _summand_families(n, k)[m_mask]
+    gen_set = set(gens)
+    if len(gen_set) != len(gens):
+        raise RuntimeError(f"distinct summands share a generator on support mask {m_mask:#x}")
+    table = k_subset_table(n, k)
+    members = []
+    violated = False
     for g in sized_submasks(m_mask, k):
-        ind = phi_index(tables, g, m_mask)
-        if ind % 2 == 0:
-            by_parity.append((g, ind))
-    if len(from_summands) != len(set(from_summands)):
-        raise RuntimeError(
-            f"distinct summands share a generator on support mask {m_mask:#x}"
-        )
-    if sorted(from_summands) != [g for g, _ in by_parity]:
-        raise RuntimeError(
-            f"summand-based and parity-based families disagree on mask {m_mask:#x}"
-        )
-    return by_parity
+        added, t, probe = table[g]
+        ind = chain_index(added, m_mask)
+        if ind & 1:
+            continue
+        if g not in gen_set:
+            raise _families_disagree(m_mask)
+        members.append((g, ind))
+        if not violated:
+            rest = m_mask & probe
+            while rest:
+                low = rest & -rest
+                if t | low in gen_set:
+                    violated = True
+                    break
+                rest ^= low
+    if len(members) != len(gens):
+        raise _families_disagree(m_mask)
+    return members, violated
 
 
 def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
@@ -194,7 +234,7 @@ def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
         raise ValueError(f"support over n={M.n}, expected {n}")
     if len(M) < k:
         raise ValueError(f"support {M} has fewer than k={k} elements")
-    members = _family_members(n, k, M.mask, match_tables(n))
+    members, _ = _support_pass(n, k, M.mask)
     return _family_from_masks(M, k, members)
 
 
@@ -380,10 +420,12 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: i
 def _squarefree_hilbert(n: int, k: int, families) -> Report:
     """The squarefree identity, given the contributing generators per support."""
     rep = Report(f"hilbert identity n={n} k={k} (squarefree)")
+    # the dimension depends on the support size only: one oracle call per size
+    by_size = [0] + [dim_oracle(n, k, _indicator_of_mask(n, (1 << s) - 1)) for s in range(1, n + 1)]
     checked = 0
     for m_mask in range(1, 1 << n):
         got = len(families[m_mask])
-        expect = dim_oracle(n, k, _indicator_of_mask(n, m_mask))
+        expect = by_size[m_mask.bit_count()]
         checked += 1
         if got != expect:
             rep.fail(
@@ -501,18 +543,26 @@ def index_step_sweep(n: int) -> Report:
 def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    Runs the squarefree Hilbert identity, then for every support of size at
-    least k: the two-form family construction, the expected family size, the
-    triangle condition, and (by default for n <= 13, where it is affordable)
-    exact linear independence of the sign matrix: full rank mod 2, with
-    fraction-free elimination over Q wherever that fails.  The depth
-    conclusion is reported with the upper bound cited, not verified.
+    Runs the squarefree Hilbert identity, with one dimension-oracle call per
+    support size, then one pass per support of size at least k (see
+    :func:`_support_pass`): the two-form family construction, the expected
+    family size, the triangle condition, and (by default for n <= 13, where
+    it is affordable) exact linear independence of the sign matrix: full
+    rank mod 2, with fraction-free elimination over Q wherever that fails.
+    Below the range guard, where the construction can be undefined, that
+    alone fails the report.  The depth conclusion is reported with the
+    upper bound cited, not verified.
     """
     require_upper_half(n, k)
     if check_rank is None:
         check_rank = n <= 13
-    script = _script(n, k)
     rep = Report(f"stanley decomposition n={n} k={k}")
+    try:
+        script = _script(n, k)
+    except UndefinedScript as err:
+        rep.lines.append(f"stanley decomposition of M({n},{k}): undefined, no later check run")
+        rep.fail(f"downward matching undefined below {Subset.from_mask(n, err.mask)}")
+        return rep
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
     hilbert = _squarefree_hilbert(n, k, _summand_families(n, k))
@@ -522,7 +572,6 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
-    tables = match_tables(n)
     supports = 0
     size_mismatches = 0
     triangle_violations = 0
@@ -532,7 +581,7 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
         if m_mask.bit_count() < k:
             continue
         supports += 1
-        members = _family_members(n, k, m_mask, tables)
+        members, violated = _support_pass(n, k, m_mask)
         expect = comb(m_mask.bit_count() - 1, k - 1)
         if len(members) != expect:
             size_mismatches += 1
@@ -541,8 +590,9 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
                 f"!= C(|M|-1,k-1) = {expect}"
             )
         masks = [g for g, _ in members]
-        bad = _first_violation(tables, m_mask, masks)
-        if bad is not None:
+        if violated:
+            bad = _first_violation(match_tables(n), m_mask, masks)
+            assert bad is not None, "triangle probe and _first_violation disagree"
             triangle_violations += 1
             g_bad, h_bad = (Subset.from_mask(n, members[i][0]) for i in bad)
             rep.fail(

@@ -2,14 +2,22 @@
 
 import ast
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 import koszuldepth
-from koszuldepth.bits import match_tables, scan, sized_submasks
+from koszuldepth.bits import chain_index, k_subset_table, match_tables, scan, sized_submasks, submasks
 
-from helpers import all_element_sets, naive_facet, naive_path, naive_phi, naive_psi
+from helpers import (
+    all_element_sets,
+    naive_facet,
+    naive_index_up,
+    naive_path,
+    naive_phi,
+    naive_psi,
+)
 
 
 def _mask(elements):
@@ -57,3 +65,24 @@ def test_lattice_path_called_only_for_drawing():
                     callers.add(path.name)
     assert "cli.py" in callers
     assert callers <= {"subsets.py", "cli.py"}
+
+
+def _elements(mask):
+    return {e + 1 for e in range(mask.bit_length()) if (mask >> e) & 1}
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_chain_index_equals_naive_index(n):
+    # every upper-half k, every k-subset g and every support M containing g
+    full = (1 << n) - 1
+    for k in range(max(n // 2, 1), n):
+        table = k_subset_table(n, k)
+        assert len(table) == comb(n, k)
+        for g, (added, facet, probe) in table.items():
+            G = _elements(g)
+            assert facet == _mask(naive_facet(n, G))
+            pivot = (g ^ facet).bit_length()
+            assert probe == ((1 << (pivot - 1)) - 1) & ~g
+            for extra in submasks(full & ~g):
+                M = _elements(g | extra)
+                assert chain_index(added, g | extra) == naive_index_up(n, G, M), (G, M)

@@ -27,7 +27,8 @@ from koszuldepth.decomposition import (
     verify_hilbert,
     verify_stanley,
 )
-from koszuldepth import decomposition
+from koszuldepth import decomposition, koszul
+from koszuldepth.bits import sized_submasks
 from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.subsets import Subset, level_key
 
@@ -175,6 +176,68 @@ def test_family_sizes(n):
             assert all(mem.index % 2 == 0 for mem in fam.members)
             masks = [mem.G.mask for mem in fam.members]
             assert masks == sorted(masks)
+
+
+@pytest.mark.parametrize("drop", [0, -1, None])
+def test_families_disagree_even_when_counts_match(monkeypatch, drop):
+    # the summand form gains an odd-index k-subset of M and loses one
+    # even-index member, the first or the last, so both forms still have six
+    # members; or it only gains the odd one
+    n, k = 7, 3
+    M = S(7, [1, 2, 4, 5, 7])
+    members = [mem.G.mask for mem in contribution_family(n, k, M).members]
+    odd = next(g for g in sized_submasks(M.mask, k) if g not in members)
+    gens = members[:]
+    if drop is not None:
+        del gens[drop]
+    _patch_summand_family(monkeypatch, n, k, M, gens + [odd])
+    with pytest.raises(RuntimeError, match="families disagree"):
+        contribution_family(n, k, M)
+    with pytest.raises(RuntimeError, match="families disagree"):
+        verify_stanley(n, k, check_rank=False)
+
+
+def test_repeated_generator_raises(monkeypatch):
+    n, k = 7, 3
+    M = S(7, [1, 2, 4, 5, 7])
+    members = [mem.G.mask for mem in contribution_family(n, k, M).members]
+    _patch_summand_family(monkeypatch, n, k, M, members + members[-1:])
+    with pytest.raises(RuntimeError, match="share a generator"):
+        contribution_family(n, k, M)
+
+
+def _patch_summand_family(monkeypatch, n, k, M, gens):
+    families = list(decomposition._summand_families(n, k))
+    families[M.mask] = tuple(gens)
+    monkeypatch.setattr(decomposition, "_summand_families", lambda n_, k_: families)
+
+
+def test_verify_stanley_does_no_per_pair_work(monkeypatch):
+    calls = {"phi_index": 0, "dim_oracle": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
+    n, k = 10, 5
+    rep = verify_stanley(n, k, check_rank=False)
+    assert rep.passed
+    assert calls["phi_index"] == 0
+    assert 0 < calls["dim_oracle"] <= n + 1
+    # every support is still compared: an oracle wrong at one support size
+    # fails exactly the supports of that size
+    for s in (1, 5, n):
+        monkeypatch.setattr(
+            decomposition, "dim_oracle",
+            lambda n_, k_, m, s=s: koszul.dim_oracle(n_, k_, m) + (len(m.support()) == s),
+        )
+        rep = verify_stanley(n, k, check_rank=False)
+        assert rep.counts["hilbert_failures"] == comb(n, s)
+        assert not rep.passed
 
 
 def test_triangle_worked_example_and_trivia():
