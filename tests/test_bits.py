@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import koszuldepth
-from koszuldepth.bits import chain_index, k_subset_table, match_tables, scan, sized_submasks, submasks
+from koszuldepth.bits import (
+    chain_index,
+    k_subset_table,
+    match_tables,
+    scan,
+    sized_submasks,
+    submasks,
+)
 
 from helpers import (
     all_element_sets,

@@ -26,12 +26,15 @@ def unguarded(monkeypatch):
     "n, k, hilbert_supports, supports, failing",
     [(4, 1, 15, 15, 6), (6, 2, 63, 57, 20), (8, 3, 255, 219, 70)],
 )
-def test_every_layer_fails_just_below_the_guard(unguarded, n, k, hilbert_supports, supports, failing):
+def test_every_layer_fails_just_below_the_guard(
+    unguarded, n, k, hilbert_supports, supports, failing
+):
     rep = verify_stanley(n, k, check_rank=True)
     assert not rep.passed
     assert rep.counts["hilbert_supports"] == hilbert_supports
     assert rep.counts["supports"] == rep.counts["rank_checked"] == supports
-    for key in ("hilbert_failures", "family_size_mismatches", "triangle_violations", "rank_failures"):
+    layers = ("hilbert_failures", "family_size_mismatches", "triangle_violations", "rank_failures")
+    for key in layers:
         assert rep.counts[key] == failing, key
     assert len(rep.failures) == 4 * failing
     assert rep.text().endswith(f"FAIL stanley decomposition n={n} k={k}")
@@ -70,5 +73,6 @@ def test_undefined_construction_is_a_structured_failure(unguarded, n, k, mask):
     # no later stage ran
     assert rep.counts == {}
     assert rep.lines == [f"stanley decomposition of M({n},{k}): undefined, no later check run"]
-    with pytest.raises(RuntimeError, match=f"downward matching undefined below mask {mask.mask:#x}"):
+    message = f"downward matching undefined below mask {mask.mask:#x}"
+    with pytest.raises(RuntimeError, match=message):
         build_decomposition(n, k)
