@@ -16,10 +16,6 @@ from typing import Iterator
 from .subsets import check_ground
 
 
-def bit_elements(mask: int) -> tuple[int, ...]:
-    return tuple(e + 1 for e in range(mask.bit_length()) if (mask >> e) & 1)
-
-
 @dataclass(frozen=True)
 class MatchTables:
     n: int
@@ -94,6 +90,8 @@ def sized_submasks(mask: int, k: int) -> list[int]:
     return out
 
 
+# phi_index and psi_index_table are called by no sweep (chain_index reads
+# every index); they stay because the benchmark tracer wraps them by name
 def phi_index(tables: MatchTables, g: int, m: int) -> int:
     """Index of g in m via the upward table walk."""
     i = 0

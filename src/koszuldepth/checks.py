@@ -6,7 +6,7 @@ from __future__ import annotations
 from . import matching
 # phi_index and psi_index_table are unused here, but the benchmark tracer
 # wraps this module's bindings
-from .bits import match_tables, phi_index, psi_index_table
+from .bits import match_tables, phi_index, psi_index_table, sized_submasks
 from .report import Report
 from .subsets import Subset
 
@@ -112,11 +112,9 @@ def check_greedy_agreement(n: int) -> Report:
     upper_sets = 0
     tables = match_tables(n)
     for l in range(n):
-        greedy = {big.mask: small.mask for big, small in matching.greedy_lex_matching(n, l).items()}
+        greedy = matching.greedy_lex_matching(n, l)
         upper = l + 1 >= threshold
-        for mask in range(1 << n):
-            if mask.bit_count() != l + 1:
-                continue
+        for mask in sized_submasks((1 << n) - 1, l + 1):
             expected = tables.psi[mask]
             got = greedy.get(mask)
             if upper:

@@ -303,14 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("check-matching", help="matching law suites (inverse, index-eq, greedy)")
-    sp.add_argument("n", type=int, help="recommended maxima: inverse 20, index-eq 15, greedy 17")
+    sp.add_argument("n", type=int, help="recommended maxima: inverse 20, index-eq 15, greedy 19")
     sp.add_argument("which", nargs="*", metavar="which",
                     help="any of: inverse, index-eq, greedy (default: all three)")
     _add_format(sp)
     sp.set_defaults(func=cmd_check_matching)
 
     sp = sub.add_parser("check-lemma", help="exhaustive index increment check")
-    sp.add_argument("n", type=int, help="at least 2; recommended maximum 13")
+    sp.add_argument("n", type=int, help="at least 2; recommended maximum 14")
     _add_format(sp)
     sp.set_defaults(func=cmd_check_lemma)
 

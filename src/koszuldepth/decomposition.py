@@ -19,19 +19,13 @@ from itertools import product
 from math import comb
 
 from . import matching
+# phi_index and lattice_path are unused here, but the benchmark tracer wraps
+# this module's bindings
 from .bits import (
-    MatchTables,
-    bit_elements,
-    chain_index,
-    k_subset_table,
-    match_tables,
-    phi_index,
-    sized_submasks,
-    submasks,
+    MatchTables, chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks
 )
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m, indicator
 from .report import Report
-# lattice_path is unused here, but the benchmark tracer wraps this module's binding
 from .subsets import Subset, lattice_path, same_ground
 
 
@@ -136,9 +130,7 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     tables = match_tables(n)
     out = []
     for size in range(k, n + 1, 2):
-        for s_mask in range(1 << n):
-            if s_mask.bit_count() != size:
-                continue
+        for s_mask in sized_submasks((1 << n) - 1, size):
             up = tables.phi[s_mask]
             removed = None if up is None else (up ^ s_mask).bit_length()
             g_mask = s_mask
@@ -178,10 +170,12 @@ def _families_disagree(m_mask: int) -> RuntimeError:
     return RuntimeError(f"summand-based and parity-based families disagree on mask {m_mask:#x}")
 
 
-def _support_pass(n: int, k: int, m_mask: int) -> tuple[list[tuple[int, int]], bool]:
+def _support_pass(
+    n: int, k: int, m_mask: int
+) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
     """The contribution family of support mask ``m_mask`` as (G mask, index)
-    pairs, ascending, and whether some member's distinguished facet lies
-    inside an earlier member.
+    pairs, ascending, and the first member whose distinguished facet lies
+    inside an earlier member, with the earliest such member, or None.
 
     One loop over the k-subsets of M builds the family twice: as the
     k-subsets of even index, and as the generators of the summands
@@ -190,7 +184,8 @@ def _support_pass(n: int, k: int, m_mask: int) -> tuple[list[tuple[int, int]], b
     count, so each raises.  The earlier k-subsets of M that contain a
     member's facet are the facet plus an element of M below the member's
     pivot, so only those are probed, against the generators, which equal
-    the members whenever the pass returns.
+    the members whenever the pass returns.  The probes rise with the added
+    element, so the lowest hit is the earliest member.
     """
     gens = _summand_families(n, k)[m_mask]
     gen_set = set(gens)
@@ -198,7 +193,7 @@ def _support_pass(n: int, k: int, m_mask: int) -> tuple[list[tuple[int, int]], b
         raise RuntimeError(f"distinct summands share a generator on support mask {m_mask:#x}")
     table = k_subset_table(n, k)
     members = []
-    violated = False
+    violation = None
     for g in sized_submasks(m_mask, k):
         added, t, probe = table[g]
         ind = chain_index(added, m_mask)
@@ -207,17 +202,17 @@ def _support_pass(n: int, k: int, m_mask: int) -> tuple[list[tuple[int, int]], b
         if g not in gen_set:
             raise _families_disagree(m_mask)
         members.append((g, ind))
-        if not violated:
+        if violation is None:
             rest = m_mask & probe
             while rest:
                 low = rest & -rest
                 if t | low in gen_set:
-                    violated = True
+                    violation = g, t | low
                     break
                 rest ^= low
     if len(members) != len(gens):
         raise _families_disagree(m_mask)
-    return members, violated
+    return members, violation
 
 
 def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
@@ -458,18 +453,19 @@ def _admissible(tables: MatchTables, m: int, g: int, h: int) -> bool:
     )
 
 
-def _index_step(tables: MatchTables, m: int, g: int, h: int) -> StepCheck:
+def _index_step(n: int, m: int, g: int, h: int) -> StepCheck:
     """The increment claim on one admissible mask triple.
 
     The pivot p of ``psi_tilde`` is the first member where the height over
     the members alone peaks, so the restricted peak height is the height of
-    the lattice path at p.
+    the lattice path at p: p minus twice the non-members below p, which are
+    exactly g's probe.
     """
-    p = (g ^ tables.psi_tilde[g]).bit_length()
-    peak = 2 * (g & ((1 << p) - 1)).bit_count() - p
-    ind_g = phi_index(tables, g, m)
-    ind_h = phi_index(tables, h, m)
-    if peak >= 0:
+    table = k_subset_table(n, g.bit_count())
+    added, t, probe = table[g]
+    ind_g = chain_index(added, m)
+    ind_h = chain_index(table[h][0], m)
+    if (g ^ t).bit_length() >= 2 * probe.bit_count():
         case, expected = 1, ind_g + 1
     else:
         case, expected = 2, 1
@@ -494,7 +490,7 @@ def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
     tables = match_tables(M.n)
     if not _admissible(tables, M.mask, G.mask, H.mask):
         return StepCheck("skip")
-    return _index_step(tables, M.mask, G.mask, H.mask)
+    return _index_step(M.n, M.mask, G.mask, H.mask)
 
 
 def index_step_sweep(n: int) -> Report:
@@ -502,7 +498,7 @@ def index_step_sweep(n: int) -> Report:
 
     For fixed G the admissible partners H are exactly the sets obtained from
     the distinguished facet of G by adding an element of M below the deleted
-    pivot, so the sweep enumerates those directly.
+    pivot: the elements of M in G's probe.
     """
     rep = Report(f"index increment n={n}")
     tables = match_tables(n)
@@ -510,15 +506,16 @@ def index_step_sweep(n: int) -> Report:
     checked = 0
     for m_mask in range(1, 1 << n):
         for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
+            table = k_subset_table(n, size)
             for g_mask in sized_submasks(m_mask, size):
-                t_mask = tables.psi_tilde[g_mask]
-                pivot = (g_mask ^ t_mask).bit_length()
-                for x in bit_elements(m_mask & ~g_mask):
-                    if x >= pivot:
-                        continue
-                    h_mask = t_mask | (1 << (x - 1))
+                _, t_mask, probe = table[g_mask]
+                rest = m_mask & probe
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    h_mask = t_mask | low
                     assert _admissible(tables, m_mask, g_mask, h_mask)
-                    result = _index_step(tables, m_mask, g_mask, h_mask)
+                    result = _index_step(n, m_mask, g_mask, h_mask)
                     checked += 1
                     by_case[result.case] += 1
                     if result.status == "fail":
@@ -581,7 +578,7 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
         if m_mask.bit_count() < k:
             continue
         supports += 1
-        members, violated = _support_pass(n, k, m_mask)
+        members, violation = _support_pass(n, k, m_mask)
         expect = comb(m_mask.bit_count() - 1, k - 1)
         if len(members) != expect:
             size_mismatches += 1
@@ -589,12 +586,9 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
                 f"support {Subset.from_mask(n, m_mask)}: family size {len(members)} "
                 f"!= C(|M|-1,k-1) = {expect}"
             )
-        masks = [g for g, _ in members]
-        if violated:
-            bad = _first_violation(match_tables(n), m_mask, masks)
-            assert bad is not None, "triangle probe and _first_violation disagree"
+        if violation is not None:
             triangle_violations += 1
-            g_bad, h_bad = (Subset.from_mask(n, members[i][0]) for i in bad)
+            g_bad, h_bad = (Subset.from_mask(n, g) for g in violation)
             rep.fail(
                 f"support {Subset.from_mask(n, m_mask)}: distinguished facet of "
                 f"{g_bad} lies inside earlier {h_bad}"
@@ -603,7 +597,7 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
             rank_checked += 1
             # an odd maximal minor is a non-zero integer, so full rank mod 2
             # is full rank over Q; only a deficiency mod 2 needs Bareiss
-            if not rank_full_mod2(facet_rows(m_mask, k, masks)):
+            if not rank_full_mod2(facet_rows(m_mask, k, [g for g, _ in members])):
                 family = _family_from_masks(Subset.from_mask(n, m_mask), k, members)
                 if not rank_full(sign_matrix(family)):
                     rank_failures += 1

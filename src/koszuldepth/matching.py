@@ -83,23 +83,28 @@ def index(G: Subset, M: Subset) -> int:
         i += 1
 
 
-def greedy_lex_matching(n: int, l: int) -> dict[Subset, Subset]:
-    """Greedy level matching: each (l+1)-set takes its lex-smallest unused l-subset.
+def greedy_lex_matching(n: int, l: int) -> dict[int, int]:
+    """Greedy level matching on masks: each (l+1)-set takes its lex-smallest
+    unused l-subset.
 
     Processes the (l+1)-sets in lexicographic order and leaves a set unmatched
-    when all of its l-subsets are already taken.  This replays the original
-    definition of the matching and serves as the oracle for ``psi``.
+    when all of its l-subsets are already taken.  The lex-smallest l-subset
+    of a set drops its largest element, the next one its second largest, and
+    so on.  This replays the original definition of the matching and serves
+    as the oracle for ``psi``.
     """
     if not 0 <= l < n:
         raise ValueError(f"level must satisfy 0 <= l < n, got l={l}, n={n}")
     if n > MAX_N:
         raise ValueError(f"ground set size must lie in 1..{MAX_N}, got {n}")
-    used: set[tuple[int, ...]] = set()
-    out: dict[Subset, Subset] = {}
-    for big in combinations(range(1, n + 1), l + 1):
-        for small in combinations(big, l):
+    used: set[int] = set()
+    out: dict[int, int] = {}
+    for big in combinations([1 << e for e in range(n)], l + 1):
+        big_mask = sum(big)
+        for drop in reversed(big):
+            small = big_mask ^ drop
             if small not in used:
                 used.add(small)
-                out[Subset(n, big)] = Subset(n, small)
+                out[big_mask] = small
                 break
     return out

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+# counterexamples shown in text output; the rest are counted in one line
+MAX_SHOWN = 20
+
 
 @dataclass
 class Report:
@@ -20,9 +23,9 @@ class Report:
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"
 
-    def text(self, max_failures: int = 20) -> str:
+    def text(self) -> str:
         out = list(self.lines)
-        shown = self.failures[:max_failures]
+        shown = self.failures[:MAX_SHOWN]
         out.extend(f"counterexample: {f}" for f in shown)
         if len(self.failures) > len(shown):
             out.append(f"... and {len(self.failures) - len(shown)} more counterexamples")

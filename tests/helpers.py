@@ -150,6 +150,21 @@ def all_element_sets(n: int):
         yield {e for e in range(1, n + 1) if (mask >> (e - 1)) & 1}
 
 
+def naive_greedy(n: int, l: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The greedy level matching on element tuples: the (l+1)-sets in
+    lexicographic order, each taking its lex-smallest l-subset not yet
+    taken, and left unmatched when every one is taken."""
+    used: set[tuple[int, ...]] = set()
+    out: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for big in combinations(range(1, n + 1), l + 1):
+        for small in combinations(big, l):
+            if small not in used:
+                used.add(small)
+                out[big] = small
+                break
+    return out
+
+
 def naive_index_disagreements(tables) -> list[tuple[int, int, int, int]]:
     """(M, G, upward, downward) masks and indices for every pair G inside M
     whose two indices differ on ``tables``, M ascending, G descending.  The

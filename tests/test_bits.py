@@ -60,9 +60,11 @@ def test_sized_submasks_ascending():
 
 
 def test_lattice_path_called_only_for_drawing():
-    # bits.scan is the one peak scan; a lattice_path call elsewhere would be
-    # a second matching engine
+    # bits.scan is the one peak scan, and k_subset_table the one source of
+    # upward indices; a lattice_path call elsewhere, or any call of the
+    # per-pair index walks, would be a second matching engine
     callers = set()
+    walks = []
     for path in Path(koszuldepth.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
@@ -70,8 +72,11 @@ def test_lattice_path_called_only_for_drawing():
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if name == "lattice_path":
                     callers.add(path.name)
+                elif name in ("phi_index", "psi_index_table"):
+                    walks.append((path.name, node.lineno, name))
     assert "cli.py" in callers
     assert callers <= {"subsets.py", "cli.py"}
+    assert walks == []
 
 
 def _elements(mask):

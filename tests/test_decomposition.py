@@ -28,7 +28,7 @@ from koszuldepth.decomposition import (
     verify_stanley,
 )
 from koszuldepth import decomposition, koszul
-from koszuldepth.bits import sized_submasks
+from koszuldepth.bits import k_subset_table, sized_submasks
 from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.subsets import Subset, level_key
 
@@ -532,6 +532,24 @@ def test_index_step_sweep_structure():
         ]
         failing.sort(key=lambda t: (mask(t[0]), len(t[1]), mask(t[1]), mask(t[2])))
         assert got == failing
+
+
+def test_index_step_sweep_reads_the_table_probes(monkeypatch):
+    # negative control: the sweep takes every partner H from the k-subset
+    # table, so one element dropped from one probe must change its counts
+    n = 7
+    triples = list(admissible_triples(n))
+    tallies = {
+        "triples_checked": len(triples),
+        "case1": sum(tr.case == 1 for tr in triples),
+        "case2": sum(tr.case == 2 for tr in triples),
+        "failures": sum(tr.index_H != tr.expected_H for tr in triples),
+    }
+    assert index_step_sweep(n).counts == tallies
+    table = k_subset_table(n, 4)
+    g, (added, facet, probe) = next((g, entry) for g, entry in table.items() if entry[2])
+    monkeypatch.setitem(table, g, (added, facet, probe & (probe - 1)))
+    assert index_step_sweep(n).counts != tallies
 
 
 def test_verify_stanley_small():

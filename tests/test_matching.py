@@ -12,7 +12,18 @@ from koszuldepth.matching import (
 )
 from koszuldepth.subsets import MAX_N, Subset, lattice_path
 
-from helpers import all_element_sets, index_by_psi, naive_facet, naive_phi, naive_psi
+from helpers import (
+    all_element_sets,
+    index_by_psi,
+    naive_facet,
+    naive_greedy,
+    naive_phi,
+    naive_psi,
+)
+
+
+def _mask(elements):
+    return sum(1 << (e - 1) for e in elements)
 
 
 def _step(result):
@@ -149,15 +160,17 @@ def test_index_definitions_agree(n):
 
 
 def test_greedy_examples():
-    got = greedy_lex_matching(3, 1)
-    assert got == {
-        Subset(3, [1, 2]): Subset(3, [1]),
-        Subset(3, [1, 3]): Subset(3, [3]),
-        Subset(3, [2, 3]): Subset(3, [2]),
-    }
-    assert greedy_lex_matching(2, 1) == {Subset(2, [1, 2]): Subset(2, [1])}
-    got = greedy_lex_matching(3, 0)
-    assert got == {Subset(3, [1]): Subset(3)}  # {2} and {3} stay unmatched
+    # masks: bit e-1 is element e
+    assert greedy_lex_matching(3, 1) == {0b011: 0b001, 0b101: 0b100, 0b110: 0b010}
+    assert greedy_lex_matching(2, 1) == {0b11: 0b01}
+    assert greedy_lex_matching(3, 0) == {0b001: 0}  # {2} and {3} stay unmatched
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_greedy_equals_naive_greedy(n):
+    for l in range(n):
+        expected = {_mask(big): _mask(small) for big, small in naive_greedy(n, l).items()}
+        assert greedy_lex_matching(n, l) == expected
 
 
 def test_greedy_contract():
@@ -172,13 +185,12 @@ def test_greedy_equals_formula_on_total_levels(n):
     threshold = (n + 2) // 2
     for l in range(n):
         greedy = greedy_lex_matching(n, l)
-        for elems in all_element_sets(n):
-            if len(elems) != l + 1:
+        for mask in range(1 << n):
+            if mask.bit_count() != l + 1:
                 continue
-            g = Subset(n, elems)
-            r = psi(g)
+            r = psi(Subset.from_mask(n, mask))
             if l + 1 >= threshold:
-                assert r.defined and greedy.get(g) == r.value
+                assert r.defined and greedy.get(mask) == r.value.mask
     # greedy is injective level by level
     for l in range(n):
         values = list(greedy_lex_matching(n, l).values())
