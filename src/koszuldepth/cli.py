@@ -294,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--all-n", type=int, default=None, metavar="N",
                     help="verify every valid (n, k) with n <= N")
     sp.add_argument("--box", type=int, default=None, metavar="D",
-                    help="also run the boxed dimension check with entries up to D")
+                    help="also run the boxed dimension check with entries up to D "
+                    "(recommended maxima: n = 9 at D = 2, n = 12 at D = 1)")
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
                     help="exact rank checking (auto: on for n <= 13)")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",

@@ -24,7 +24,7 @@ from . import matching
 from .bits import (
     MatchTables, chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks
 )
-from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m, indicator
+from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m
 from .report import Report
 from .subsets import Subset, lattice_path, same_ground
 
@@ -109,10 +109,13 @@ def contributes(summand: Summand, m: Multidegree) -> bool:
     """Whether the summand has a non-zero component in multidegree m."""
     if summand.S.n != m.n:
         raise ValueError(f"multidegree over n={m.n}, summand over n={summand.S.n}")
-    rest = m.minus_or_none(indicator(summand.S))
-    if rest is None:
-        return False
-    return rest.support().elements <= summand.Z.elements
+    return _contributes(summand.S.mask, summand.Z.mask, *m.masks())
+
+
+def _contributes(s: int, z: int, support: int, repeated: int) -> bool:
+    """:func:`contributes` on masks: m - 1_S, defined when S lies in the
+    support, is supported on (support - S) | (S & repeated)."""
+    return not s & ~support and not (support & ~s | s & repeated) & ~z
 
 
 class UndefinedScript(RuntimeError):
@@ -162,8 +165,9 @@ def _push_summands(n: int, script) -> list[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _summand_families(n: int, k: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(map(tuple, _push_summands(n, _script(n, k))))
+def _summand_families(n: int, k: int) -> list[list[int]]:
+    """:func:`_push_summands`, cached; callers must not mutate it."""
+    return _push_summands(n, _script(n, k))
 
 
 def _families_disagree(m_mask: int) -> RuntimeError:
@@ -379,10 +383,6 @@ def rank_full_mod2(rows: list[int]) -> bool:
     return True
 
 
-def _indicator_of_mask(n: int, m_mask: int) -> Multidegree:
-    return Multidegree(n, (1 if (m_mask >> i) & 1 else 0 for i in range(n)))
-
-
 def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: int = 2) -> Report:
     """Check that the summands account for every graded dimension.
 
@@ -399,10 +399,12 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: i
     if box_depth < 0:
         raise ValueError(f"box depth must be >= 0, got {box_depth}")
     rep = Report(f"hilbert identity n={n} k={k} (box)")
+    pairs = [(sm.S.mask, sm.Z.mask) for sm in decomp.summands]
     checked = 0
     for exps in product(range(box_depth + 1), repeat=n):
         m = Multidegree(n, exps)
-        got = sum(1 for sm in decomp.summands if contributes(sm, m))
+        support, repeated = m.masks()
+        got = sum(_contributes(s, z, support, repeated) for s, z in pairs)
         expect = dim_oracle(n, k, m)
         checked += 1
         if got != expect:
@@ -416,7 +418,9 @@ def _squarefree_hilbert(n: int, k: int, families) -> Report:
     """The squarefree identity, given the contributing generators per support."""
     rep = Report(f"hilbert identity n={n} k={k} (squarefree)")
     # the dimension depends on the support size only: one oracle call per size
-    by_size = [0] + [dim_oracle(n, k, _indicator_of_mask(n, (1 << s) - 1)) for s in range(1, n + 1)]
+    by_size = [0] + [
+        dim_oracle(n, k, Multidegree(n, [1] * s + [0] * (n - s))) for s in range(1, n + 1)
+    ]
     checked = 0
     for m_mask in range(1, 1 << n):
         got = len(families[m_mask])
@@ -453,24 +457,22 @@ def _admissible(tables: MatchTables, m: int, g: int, h: int) -> bool:
     )
 
 
-def _index_step(n: int, m: int, g: int, h: int) -> StepCheck:
-    """The increment claim on one admissible mask triple.
+def _index_step(table, m: int, g: int, h: int) -> tuple[int, int, int, int]:
+    """``(case, index_G, index_H, expected_H)`` of one admissible mask
+    triple, from g's k-subset table.
 
     The pivot p of ``psi_tilde`` is the first member where the height over
     the members alone peaks, so the restricted peak height is the height of
     the lattice path at p: p minus twice the non-members below p, which are
     exactly g's probe.
     """
-    table = k_subset_table(n, g.bit_count())
     added, t, probe = table[g]
     ind_g = chain_index(added, m)
-    ind_h = chain_index(table[h][0], m)
     if (g ^ t).bit_length() >= 2 * probe.bit_count():
         case, expected = 1, ind_g + 1
     else:
         case, expected = 2, 1
-    status = "pass" if ind_h == expected else "fail"
-    return StepCheck(status, case, ind_g, ind_h, expected)
+    return case, ind_g, chain_index(table[h][0], m), expected
 
 
 def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
@@ -488,9 +490,11 @@ def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
     same_ground(M, G)
     same_ground(M, H)
     tables = match_tables(M.n)
-    if not _admissible(tables, M.mask, G.mask, H.mask):
+    m, g, h = M.mask, G.mask, H.mask
+    if not _admissible(tables, m, g, h):
         return StepCheck("skip")
-    return _index_step(M.n, M.mask, G.mask, H.mask)
+    case, ind_g, ind_h, expected = _index_step(k_subset_table(M.n, len(G)), m, g, h)
+    return StepCheck("pass" if ind_h == expected else "fail", case, ind_g, ind_h, expected)
 
 
 def index_step_sweep(n: int) -> Report:
@@ -515,15 +519,14 @@ def index_step_sweep(n: int) -> Report:
                     rest ^= low
                     h_mask = t_mask | low
                     assert _admissible(tables, m_mask, g_mask, h_mask)
-                    result = _index_step(n, m_mask, g_mask, h_mask)
+                    case, ind_g, ind_h, expected = _index_step(table, m_mask, g_mask, h_mask)
                     checked += 1
-                    by_case[result.case] += 1
-                    if result.status == "fail":
+                    by_case[case] += 1
+                    if ind_h != expected:
                         M, G, H = (Subset.from_mask(n, mask) for mask in (m_mask, g_mask, h_mask))
                         rep.fail(
-                            f"M={M} G={G} H={H}: "
-                            f"case {result.case}, index {result.index_H} != "
-                            f"expected {result.expected_H} (index of G: {result.index_G})"
+                            f"M={M} G={G} H={H}: case {case}, index {ind_h} != "
+                            f"expected {expected} (index of G: {ind_g})"
                         )
     rep.counts["triples_checked"] = checked
     rep.counts["case1"] = by_case[1]

@@ -41,14 +41,11 @@ class Multidegree:
             raise ValueError("mixed ground sets")
         return Multidegree(self.n, (a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def minus_or_none(self, other: Multidegree) -> Multidegree | None:
-        """Coordinatewise difference, or None if any coordinate would go negative."""
-        if self.n != other.n:
-            raise ValueError("mixed ground sets")
-        diff = [a - b for a, b in zip(self.exponents, other.exponents)]
-        if any(d < 0 for d in diff):
-            return None
-        return Multidegree(self.n, diff)
+    def masks(self) -> tuple[int, int]:
+        """``(support, repeated)``: bit i-1 is set where exponent i is at
+        least 1, respectively at least 2."""
+        bits = list(enumerate(self.exponents))
+        return sum(1 << i for i, e in bits if e), sum(1 << i for i, e in bits if e > 1)
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.exponents) + ")"

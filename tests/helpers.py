@@ -265,3 +265,45 @@ def admissible_triples(n: int):
                             frozenset(M), frozenset(G), frozenset(H),
                             case, index_G, naive_index_up(n, H, M), x,
                         )
+
+
+def naive_contributes(S: set[int], Z: set[int], exponents) -> bool:
+    """Whether the Stanley space with generator degree 1_S and variables Z
+    meets the multidegree: subtracting 1 on S leaves no exponent negative,
+    and every positive exponent left is on a variable of Z."""
+    rest = [e - (1 if i + 1 in S else 0) for i, e in enumerate(exponents)]
+    return all(r >= 0 for r in rest) and all(i + 1 in Z for i, r in enumerate(rest) if r > 0)
+
+
+def naive_inverse_failures(tables) -> list[str]:
+    """The failure lines of the inverse-law check on ``tables``, from sets of
+    element tuples: per subset in mask order the broken inverse laws and a
+    psi undefined at or above ceil((n+1)/2), then every subset in exactly
+    one of the image of psi and the domain of phi, by size, then mask."""
+    n = tables.n
+
+    def text(mask):
+        return "{" + ",".join(str(e) for e in range(1, n + 1) if (mask >> (e - 1)) & 1) + "}"
+
+    threshold = (n + 2) // 2
+    out = []
+    image, domain = set(), set()
+    for mask in range(1 << n):
+        down, up = tables.psi[mask], tables.phi[mask]
+        if down is not None:
+            image.add(down)
+            if tables.phi[down] != mask:
+                out.append(f"phi(psi({text(mask)})) != {text(mask)}")
+        elif bin(mask).count("1") >= threshold:
+            out.append(f"psi undefined on {text(mask)} despite |G| >= {threshold}")
+        if up is not None:
+            domain.add(mask)
+            if tables.psi[up] != mask:
+                out.append(f"psi(phi({text(mask)})) != {text(mask)}")
+    for size in range(n + 1):
+        for elements in combinations(range(1, n + 1), size):
+            mask = sum(1 << (e - 1) for e in elements)
+            if (mask in image) != (mask in domain):
+                side = "image only" if mask in image else "phi-domain only"
+                out.append(f"image/domain mismatch at {text(mask)} ({side})")
+    return out

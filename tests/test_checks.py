@@ -13,7 +13,12 @@ from koszuldepth.checks import (
 )
 from koszuldepth.subsets import Subset
 
-from helpers import all_element_sets, index_by_psi, naive_index_disagreements
+from helpers import (
+    all_element_sets,
+    index_by_psi,
+    naive_index_disagreements,
+    naive_inverse_failures,
+)
 
 
 def test_bulk_index_table_equals_percall_oracle():
@@ -34,6 +39,29 @@ def test_inverse_law_sweep():
     assert rep.counts["subsets"] == 1024
     assert rep.counts["failures"] == 0
     assert "inverse law" in rep.text()
+
+
+def test_inverse_law_fails_on_corrupted_tables(monkeypatch):
+    # negative control: psi({1,2,3,4}) and phi({5}) made undefined must be
+    # reported as the set-based check reports them, in text and order; the
+    # mismatches come by size, where mask order would swap them
+    n = 6
+    tables = match_tables(n)
+    assert naive_inverse_failures(tables) == []
+    psi, phi = list(tables.psi), list(tables.phi)
+    assert (psi[0b001111], phi[0b010000]) == (0b000111, 0b010001)
+    psi[0b001111] = phi[0b010000] = None
+    corrupted = dataclasses.replace(tables, psi=tuple(psi), phi=tuple(phi))
+    monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
+    rep = check_inverse_law(n)
+    expected = naive_inverse_failures(corrupted)
+    assert not rep.passed
+    assert rep.failures == expected
+    assert expected[-2:] == [
+        "image/domain mismatch at {5} (image only)",
+        "image/domain mismatch at {1,2,3} (phi-domain only)",
+    ]
+    assert "image(psi) == domain(phi): NO" in rep.lines[-1]
 
 
 def test_inverse_law_psi_defined_count():

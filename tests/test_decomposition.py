@@ -11,6 +11,7 @@ from koszuldepth.decomposition import (
     ContributionFamily,
     FamilyMember,
     StepCheck,
+    Summand,
     build_decomposition,
     contributes,
     contribution_family,
@@ -36,6 +37,7 @@ from helpers import (
     admissible_triples,
     all_element_sets,
     naive_admissible,
+    naive_contributes,
     naive_rank_mod2,
     naive_summands,
     naive_triangle,
@@ -440,6 +442,26 @@ def test_contributions_depend_only_on_support(n):
             got = [sm.S for sm in d.summands if contributes(sm, m)]
             ref = [sm.S for sm in d.summands if contributes(sm, squarefree)]
             assert got == ref
+            # every summand of every upper-half (n, k) agrees with exponent arithmetic
+            naive = [
+                sm.S for sm in d.summands
+                if naive_contributes(sm.S.elements, sm.Z.elements, exps)
+            ]
+            assert got == naive
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_contributes_matches_naive_oracle(n):
+    # every S and every Z of at least n - 1 variables; a Z missing an element
+    # of S, which no summand has, makes exponents >= 2 on S matter
+    sets = [frozenset(e) for e in all_element_sets(n)]
+    degrees = [(exps, Multidegree(n, exps)) for exps in product(range(3), repeat=n)]
+    for S_set in sets:
+        for Z in (z for z in sets if len(z) >= n - 1):
+            # contributes reads only S and Z
+            sm = Summand(S(n, S_set), S(n, Z), None, S(n, S_set), None)
+            for exps, m in degrees:
+                assert contributes(sm, m) == naive_contributes(S_set, Z, exps), (S_set, Z, exps)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -24,8 +24,7 @@ def test_multidegree_basics():
     m = Multidegree(4, (2, 0, 1, 0))
     assert m.support() == Subset(4, [1, 3])
     assert m.total() == 3
-    assert m.minus_or_none(Multidegree(4, (1, 0, 0, 0))) == Multidegree(4, (1, 0, 1, 0))
-    assert m.minus_or_none(Multidegree(4, (0, 1, 0, 0))) is None
+    assert m.masks() == (0b0101, 0b0001)
     with pytest.raises(ValueError):
         Multidegree(4, (1, 2, 3))
     with pytest.raises(ValueError):

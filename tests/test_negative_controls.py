@@ -9,12 +9,22 @@ runs out before size k, and ``verify_stanley`` reports that as one failure
 instead of crashing.
 """
 
+from itertools import product
+
 import pytest
 
 from koszuldepth import decomposition
 from koszuldepth.bits import match_tables
-from koszuldepth.decomposition import build_decomposition, contribution_family, verify_stanley
+from koszuldepth.decomposition import (
+    build_decomposition,
+    contribution_family,
+    verify_hilbert,
+    verify_stanley,
+)
+from koszuldepth.koszul import Multidegree, dim_oracle
 from koszuldepth.subsets import Subset
+
+from helpers import naive_contributes
 
 
 @pytest.fixture
@@ -38,6 +48,23 @@ def test_every_layer_fails_just_below_the_guard(
         assert rep.counts[key] == failing, key
     assert len(rep.failures) == 4 * failing
     assert rep.text().endswith(f"FAIL stanley decomposition n={n} k={k}")
+
+
+@pytest.mark.parametrize("n, k, failing", [(4, 1, 48), (6, 2, 408)])
+def test_box_check_fails_just_below_the_guard(unguarded, n, k, failing):
+    # every failure line, in order, as exponent arithmetic counts the summands
+    decomp = build_decomposition(n, k)
+    expected = []
+    for exps in product(range(3), repeat=n):
+        got = sum(naive_contributes(sm.S.elements, sm.Z.elements, exps) for sm in decomp.summands)
+        m = Multidegree(n, exps)
+        if got != dim_oracle(n, k, m):
+            expected.append(f"multidegree {m}: {got} summands vs dimension {dim_oracle(n, k, m)}")
+    rep = verify_hilbert(decomp, "box", 2)
+    assert not rep.passed
+    assert rep.counts["multidegrees_checked"] == 3 ** n
+    assert len(expected) == failing
+    assert rep.failures == expected
 
 
 def test_triangle_lines_name_the_first_violation(unguarded):
