@@ -276,8 +276,8 @@ def naive_contributes(S: set[int], Z: set[int], exponents) -> bool:
 
 
 def naive_inverse_failures(tables) -> list[str]:
-    """The failure lines of the inverse-law check on ``tables``, from sets of
-    element tuples: per subset in mask order the broken inverse laws and a
+    """The failure lines of the inverse-law check on ``tables``, from Python
+    sets of masks: per subset in mask order the broken inverse laws and a
     psi undefined at or above ceil((n+1)/2), then every subset in exactly
     one of the image of psi and the domain of phi, by size, then mask."""
     n = tables.n

@@ -58,8 +58,9 @@ def test_box_check_fails_just_below_the_guard(unguarded, n, k, failing):
     for exps in product(range(3), repeat=n):
         got = sum(naive_contributes(sm.S.elements, sm.Z.elements, exps) for sm in decomp.summands)
         m = Multidegree(n, exps)
-        if got != dim_oracle(n, k, m):
-            expected.append(f"multidegree {m}: {got} summands vs dimension {dim_oracle(n, k, m)}")
+        expect = dim_oracle(n, k, m)
+        if got != expect:
+            expected.append(f"multidegree {m}: {got} summands vs dimension {expect}")
     rep = verify_hilbert(decomp, "box", 2)
     assert not rep.passed
     assert rep.counts["multidegrees_checked"] == 3 ** n
