@@ -151,9 +151,7 @@ def _verify_one(task) -> Report:
     n, k, box, rank = task
     rep = decomposition.verify_stanley(n, k, check_rank=rank)
     if box is not None:
-        box_rep = decomposition.verify_hilbert(
-            decomposition.build_decomposition(n, k), "box", box
-        )
+        box_rep = decomposition.verify_box(n, k, box)
         rep.passed = rep.passed and box_rep.passed
         rep.lines.extend(box_rep.lines)
         rep.failures.extend(box_rep.failures)

@@ -21,8 +21,9 @@ from math import comb
 from . import matching
 # phi_index and lattice_path are unused here, but the benchmark tracer wraps
 # this module's bindings
-from .bits import (
-    MatchTables, chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks
+from .bits import MatchTables, chain_index, k_subset_table, match_tables, phi_index, sized_submasks
+from .maskchecks import (
+    contribution_counts, even_members, even_stops, facet_rows, rank_full_mod2, triangle_pairs
 )
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m
 from .report import Report
@@ -95,13 +96,12 @@ def build_decomposition(n: int, k: int) -> Decomposition:
     """The summands as objects, for display and export; verification runs on
     the masks of :func:`_script`."""
     require_upper_half(n, k)
-    full = (1 << n) - 1
     summands = []
     for s_mask, removed, g_mask in _script(n, k):
         S = Subset.from_mask(n, s_mask)
         G = Subset.from_mask(n, g_mask)
-        z_mask = full if removed is None else full & ~(1 << (removed - 1))
-        summands.append(Summand(S, Subset.from_mask(n, z_mask), removed, G, generator_m(S, G)))
+        Z = Subset.from_mask(n, _z_mask(n, removed))
+        summands.append(Summand(S, Z, removed, G, generator_m(S, G)))
     return Decomposition(n, k, tuple(summands))
 
 
@@ -146,32 +146,31 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     return tuple(out)
 
 
-def _push_summands(n: int, script) -> list[list[int]]:
-    """Per support mask, the generator masks of the summands contributing there.
-
-    A summand (S, removed, G) contributes at every support M containing S
-    and avoiding the removed variable, so G is pushed into each such M by
-    walking the submasks of the free variables.
-    """
+def _z_mask(n: int, removed: int | None) -> int:
     full = (1 << n) - 1
-    out: list[list[int]] = [[] for _ in range(1 << n)]
-    for s_mask, removed, g_mask in script:
-        free = full & ~s_mask
-        if removed is not None:
-            free &= ~(1 << (removed - 1))
-        for extra in submasks(free):
-            out[s_mask | extra].append(g_mask)
-    return out
+    return full if removed is None else full & ~(1 << (removed - 1))
 
 
 @lru_cache(maxsize=None)
-def _summand_families(n: int, k: int) -> list[list[int]]:
-    """:func:`_push_summands`, cached; callers must not mutate it."""
-    return _push_summands(n, _script(n, k))
+def _by_generator(n: int, k: int) -> dict[int, list[tuple[int, int | None, int]]]:
+    """:func:`_script`'s summands grouped by generator mask, in script order."""
+    groups: dict[int, list] = {}
+    for summand in _script(n, k):
+        groups.setdefault(summand[2], []).append(summand)
+    return groups
 
 
-def _families_disagree(m_mask: int) -> RuntimeError:
-    return RuntimeError(f"summand-based and parity-based families disagree on mask {m_mask:#x}")
+def _two_forms_agree(n: int, k: int) -> bool:
+    """Whether each k-subset G, with upward chain a_1 < a_2 < ..., generates
+    exactly the summands (G | a_1..a_j, a_{j+1}) for even j, no a_{j+1} past
+    the chain's end.  Then at every support the generators are the k-subsets
+    of even index, each once: the index is the one j that fits."""
+    groups = _by_generator(n, k)
+    table = k_subset_table(n, k)
+    return len(groups) == len(table) and all(
+        groups.get(g) == [(g | prefix, a.bit_length() or None, g) for prefix, a in even_stops(added)]
+        for g, (added, _, _) in table.items()
+    )
 
 
 def _support_pass(
@@ -181,42 +180,35 @@ def _support_pass(
     pairs, ascending, and the first member whose distinguished facet lies
     inside an earlier member, with the earliest such member, or None.
 
-    One loop over the k-subsets of M builds the family twice: as the
-    k-subsets of even index, and as the generators of the summands
-    contributing at M.  A repeated generator, or a k-subset of even index
-    that is not a generator, or a count mismatch, would break the dimension
-    count, so each raises.  The earlier k-subsets of M that contain a
-    member's facet are the facet plus an element of M below the member's
-    pivot, so only those are probed, against the generators, which equal
-    the members whenever the pass returns.  The probes rise with the added
-    element, so the lowest hit is the earliest member.
+    The family is built as the k-subsets of even index and as the generators
+    of the summands met at M, from the script's groups of the k-subsets of
+    M; a repeated generator or a disagreement raises.  Only the facet plus
+    an element of M below the pivot can be an earlier member holding the
+    facet; these probes rise, so the lowest hit is the earliest.
     """
-    gens = _summand_families(n, k)[m_mask]
+    table = k_subset_table(n, k)
+    groups = _by_generator(n, k)
+    gens = [
+        g
+        for g in sized_submasks(m_mask, k)
+        for s, removed, _ in groups.get(g, ())
+        if not s & ~m_mask and (removed is None or not m_mask >> (removed - 1) & 1)
+    ]
     gen_set = set(gens)
     if len(gen_set) != len(gens):
         raise RuntimeError(f"distinct summands share a generator on support mask {m_mask:#x}")
-    table = k_subset_table(n, k)
-    members = []
-    violation = None
-    for g in sized_submasks(m_mask, k):
-        added, t, probe = table[g]
-        ind = chain_index(added, m_mask)
-        if ind & 1:
-            continue
-        if g not in gen_set:
-            raise _families_disagree(m_mask)
-        members.append((g, ind))
-        if violation is None:
-            rest = m_mask & probe
-            while rest:
-                low = rest & -rest
-                if t | low in gen_set:
-                    violation = g, t | low
-                    break
-                rest ^= low
-    if len(members) != len(gens):
-        raise _families_disagree(m_mask)
-    return members, violation
+    members = even_members(table, m_mask, k)
+    if gen_set != {g for g, _ in members}:
+        raise RuntimeError(f"summand-based and parity-based families disagree on mask {m_mask:#x}")
+    for g, _ in members:
+        _, t, probe = table[g]
+        rest = m_mask & probe
+        while rest:
+            low = rest & -rest
+            if t | low in gen_set:
+                return members, (g, t | low)
+            rest ^= low
+    return members, None
 
 
 def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
@@ -343,46 +335,6 @@ def rank_full(matrix: list[list[int]]) -> bool:
     return rank == nrows
 
 
-def facet_rows(m_mask: int, k: int, members: list[int]) -> list[int]:
-    """The sign matrix of the given k-subsets of M reduced mod 2, one int
-    bitmask per member.
-
-    Bit j of a row is set when the j-th (k-1)-subset of M, in the column
-    order of :func:`sign_matrix`, is a facet of that member.
-    """
-    cols = {t: 1 << j for j, t in enumerate(sized_submasks(m_mask, k - 1))}
-    rows = []
-    for g in members:
-        row = 0
-        rest = g
-        while rest:
-            low = rest & -rest
-            row |= cols[g ^ low]
-            rest ^= low
-        rows.append(row)
-    return rows
-
-
-def rank_full_mod2(rows: list[int]) -> bool:
-    """Full row rank over GF(2) of 0/1 rows given as int bitmasks.
-
-    Keeps an XOR basis keyed by each basis row's lowest set bit; a row that
-    reduces to zero is dependent on the earlier ones.
-    """
-    basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            low = row & -row
-            pivot = basis.get(low)
-            if pivot is None:
-                basis[low] = row
-                break
-            row ^= pivot
-        else:
-            return False
-    return True
-
-
 def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: int = 2) -> Report:
     """Check that the summands account for every graded dimension.
 
@@ -392,14 +344,26 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: i
     """
     n, k = decomp.n, decomp.k
     if mode == "squarefree":
-        script = ((sm.S.mask, sm.removed, sm.G.mask) for sm in decomp.summands)
-        return _squarefree_hilbert(n, k, _push_summands(n, script))
+        counts = contribution_counts(n, [(sm.S.mask, sm.removed) for sm in decomp.summands])
+        return _squarefree_hilbert(n, k, counts)
     if mode != "box":
         raise ValueError(f"unknown mode {mode!r}")
+    return _box_hilbert(n, k, [(sm.S.mask, sm.Z.mask) for sm in decomp.summands], box_depth)
+
+
+def verify_box(n: int, k: int, box_depth: int) -> Report:
+    """:func:`verify_hilbert` in box mode on the construction's masks,
+    without building its summands."""
+    require_upper_half(n, k)
+    pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _script(n, k)]
+    return _box_hilbert(n, k, pairs, box_depth)
+
+
+def _box_hilbert(n: int, k: int, pairs: list[tuple[int, int]], box_depth: int) -> Report:
+    """The box identity, given each summand's (S, Z) masks."""
     if box_depth < 0:
         raise ValueError(f"box depth must be >= 0, got {box_depth}")
     rep = Report(f"hilbert identity n={n} k={k} (box)")
-    pairs = [(sm.S.mask, sm.Z.mask) for sm in decomp.summands]
     checked = 0
     for exps in product(range(box_depth + 1), repeat=n):
         m = Multidegree(n, exps)
@@ -414,23 +378,26 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: i
     return _close_hilbert(rep, "box", checked)
 
 
-def _squarefree_hilbert(n: int, k: int, families) -> Report:
-    """The squarefree identity, given the contributing generators per support."""
+def _squarefree_hilbert(n: int, k: int, counts: list[int]) -> Report:
+    """The squarefree identity, given the number of contributing summands
+    per support mask."""
     rep = Report(f"hilbert identity n={n} k={k} (squarefree)")
     # the dimension depends on the support size only: one oracle call per size
     by_size = [0] + [
         dim_oracle(n, k, Multidegree(n, [1] * s + [0] * (n - s))) for s in range(1, n + 1)
     ]
-    checked = 0
-    for m_mask in range(1, 1 << n):
-        got = len(families[m_mask])
-        expect = by_size[m_mask.bit_count()]
-        checked += 1
-        if got != expect:
-            rep.fail(
-                f"support {Subset.from_mask(n, m_mask)}: "
-                f"{got} summands vs dimension {expect}"
-            )
+    sizes = [0]
+    for _ in range(n):
+        sizes += [s + 1 for s in sizes]
+    if counts != list(map(by_size.__getitem__, sizes)):
+        for m_mask in range(1, 1 << n):
+            got, expect = counts[m_mask], by_size[sizes[m_mask]]
+            if got != expect:
+                rep.fail(
+                    f"support {Subset.from_mask(n, m_mask)}: "
+                    f"{got} summands vs dimension {expect}"
+                )
+    checked = (1 << n) - 1
     rep.counts["supports_checked"] = checked
     return _close_hilbert(rep, "squarefree", checked)
 
@@ -543,15 +510,14 @@ def index_step_sweep(n: int) -> Report:
 def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    Runs the squarefree Hilbert identity, with one dimension-oracle call per
-    support size, then one pass per support of size at least k (see
-    :func:`_support_pass`): the two-form family construction, the expected
-    family size, the triangle condition, and (by default for n <= 13, where
-    it is affordable) exact linear independence of the sign matrix: full
-    rank mod 2, with fraction-free elimination over Q wherever that fails.
-    Below the range guard, where the construction can be undefined, that
-    alone fails the report.  The depth conclusion is reported with the
-    upper bound cited, not verified.
+    Three checks visit no support: the squarefree Hilbert identity (one
+    oracle call per support size), the two forms of every family, and the
+    triangle condition by pairs; with dimensions C(|M|-1, k-1) they also
+    fix every family's size.  If one fails, :func:`_support_pass` on each
+    support of size at least k names the failures.  Rank (by default for
+    n <= 13) is checked per support: mod 2, with Bareiss where that fails.
+    Below the range guard an undefined construction alone fails the report.
+    The depth conclusion cites the upper bound rather than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
@@ -565,37 +531,49 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
         return rep
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
-    hilbert = _squarefree_hilbert(n, k, _summand_families(n, k))
+    counts = contribution_counts(n, script)
+    hilbert = _squarefree_hilbert(n, k, counts)
     rep.lines.extend(hilbert.lines)
     rep.failures.extend(hilbert.failures)
     rep.passed &= hilbert.passed
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
-    supports = 0
+    # where the two forms agree, a family's size is its support's count, and
+    # the Hilbert check made that count the same across each support size
+    per_support = not (
+        hilbert.passed
+        and all(counts[(1 << s) - 1] == comb(s - 1, k - 1) for s in range(k, n + 1))
+        and _two_forms_agree(n, k)
+        and next(triangle_pairs(n, k), None) is None
+    )
+    supports = sum(comb(n, s) for s in range(k, n + 1))
     size_mismatches = 0
     triangle_violations = 0
     rank_checked = 0
     rank_failures = 0
-    for m_mask in range(1, 1 << n):
+    table = k_subset_table(n, k)
+    for m_mask in range(1, 1 << n) if per_support or check_rank else ():
         if m_mask.bit_count() < k:
             continue
-        supports += 1
-        members, violation = _support_pass(n, k, m_mask)
-        expect = comb(m_mask.bit_count() - 1, k - 1)
-        if len(members) != expect:
-            size_mismatches += 1
-            rep.fail(
-                f"support {Subset.from_mask(n, m_mask)}: family size {len(members)} "
-                f"!= C(|M|-1,k-1) = {expect}"
-            )
-        if violation is not None:
-            triangle_violations += 1
-            g_bad, h_bad = (Subset.from_mask(n, g) for g in violation)
-            rep.fail(
-                f"support {Subset.from_mask(n, m_mask)}: distinguished facet of "
-                f"{g_bad} lies inside earlier {h_bad}"
-            )
+        if per_support:
+            members, violation = _support_pass(n, k, m_mask)
+            expect = comb(m_mask.bit_count() - 1, k - 1)
+            if len(members) != expect:
+                size_mismatches += 1
+                rep.fail(
+                    f"support {Subset.from_mask(n, m_mask)}: family size {len(members)} "
+                    f"!= C(|M|-1,k-1) = {expect}"
+                )
+            if violation is not None:
+                triangle_violations += 1
+                g_bad, h_bad = (Subset.from_mask(n, g) for g in violation)
+                rep.fail(
+                    f"support {Subset.from_mask(n, m_mask)}: distinguished facet of "
+                    f"{g_bad} lies inside earlier {h_bad}"
+                )
+        else:
+            members = even_members(table, m_mask, k)
         if check_rank:
             rank_checked += 1
             # an odd maximal minor is a non-zero integer, so full rank mod 2

@@ -307,3 +307,40 @@ def naive_inverse_failures(tables) -> list[str]:
                 side = "image only" if mask in image else "phi-domain only"
                 out.append(f"image/domain mismatch at {text(mask)} ({side})")
     return out
+
+
+def naive_support_counts(n: int, script) -> list[int]:
+    """Per support mask, how many script entries (S, removed, G) contribute
+    there: every superset of S that avoids the removed variable, walked as
+    the submasks of the free variables."""
+    counts = [0] * (1 << n)
+    full = (1 << n) - 1
+    for s, removed, _ in script:
+        free = full & ~s & ~(0 if removed is None else 1 << (removed - 1))
+        sub = free
+        while True:
+            counts[s | sub] += 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return counts
+
+
+def naive_violating_pairs(n: int, k: int) -> set[tuple[int, int]]:
+    """Every (G, H) mask pair that breaks the triangle condition on some
+    support M: both k-subsets of M of even index, H before G in squashed
+    order and holding G's distinguished facet."""
+    def mask(elements):
+        return sum(1 << (e - 1) for e in elements)
+
+    pairs = set()
+    for M in all_element_sets(n):
+        members = [
+            set(G) for G in combinations(sorted(M), k) if naive_index_up(n, set(G), M) % 2 == 0
+        ]
+        for G in members:
+            t = naive_facet(n, G)
+            for H in members:
+                if t <= H and naive_squashed_precedes(H, G):
+                    pairs.add((mask(G), mask(H)))
+    return pairs

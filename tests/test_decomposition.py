@@ -1,6 +1,7 @@
 """Construction of the decomposition and every verification layer."""
 
 import re
+from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -31,6 +32,7 @@ from koszuldepth.decomposition import (
 from koszuldepth import decomposition, koszul
 from koszuldepth.bits import k_subset_table, sized_submasks
 from koszuldepth.koszul import Multidegree, indicator
+from koszuldepth.maskchecks import contribution_counts, triangle_pairs
 from koszuldepth.subsets import Subset, level_key
 
 from helpers import (
@@ -40,7 +42,9 @@ from helpers import (
     naive_contributes,
     naive_rank_mod2,
     naive_summands,
+    naive_support_counts,
     naive_triangle,
+    naive_violating_pairs,
     sympy_rank,
 )
 
@@ -184,15 +188,18 @@ def test_family_sizes(n):
 def test_families_disagree_even_when_counts_match(monkeypatch, drop):
     # the summand form gains an odd-index k-subset of M and loses one
     # even-index member, the first or the last, so both forms still have six
-    # members; or it only gains the odd one
+    # members; or it only gains the odd one.  The script itself is corrupted:
+    # the member's summand is dropped, and the odd subset generates a summand
+    # on S = M whose removed variable lies outside M
     n, k = 7, 3
     M = S(7, [1, 2, 4, 5, 7])
     members = [mem.G.mask for mem in contribution_family(n, k, M).members]
     odd = next(g for g in sized_submasks(M.mask, k) if g not in members)
-    gens = members[:]
+    script = list(decomposition._script(n, k))
     if drop is not None:
-        del gens[drop]
-    _patch_summand_family(monkeypatch, n, k, M, gens + [odd])
+        script.remove(_summand_at(script, M, members[drop]))
+    script.append((M.mask, 3, odd))
+    _patch_script(monkeypatch, script)
     with pytest.raises(RuntimeError, match="families disagree"):
         contribution_family(n, k, M)
     with pytest.raises(RuntimeError, match="families disagree"):
@@ -203,15 +210,45 @@ def test_repeated_generator_raises(monkeypatch):
     n, k = 7, 3
     M = S(7, [1, 2, 4, 5, 7])
     members = [mem.G.mask for mem in contribution_family(n, k, M).members]
-    _patch_summand_family(monkeypatch, n, k, M, members + members[-1:])
+    script = list(decomposition._script(n, k))
+    script.append(_summand_at(script, M, members[-1]))
+    _patch_script(monkeypatch, script)
     with pytest.raises(RuntimeError, match="share a generator"):
         contribution_family(n, k, M)
 
 
-def _patch_summand_family(monkeypatch, n, k, M, gens):
-    families = list(decomposition._summand_families(n, k))
-    families[M.mask] = tuple(gens)
-    monkeypatch.setattr(decomposition, "_summand_families", lambda n_, k_: families)
+def test_two_form_check_catches_a_moved_generator(monkeypatch):
+    # one summand names another k-subset of its S as generator: every
+    # Hilbert count stays right, so only the two-form check sees it, and the
+    # pass per support then raises on the first support it reaches
+    n, k = 7, 3
+    script = list(decomposition._script(n, k))
+    counts = contribution_counts(n, script)
+    i, (s, removed, g) = next(
+        (i, sm) for i, sm in enumerate(script) if sm[0].bit_count() == k + 2
+    )
+    script[i] = (s, removed, next(h for h in sized_submasks(s, k) if h != g))
+    _patch_script(monkeypatch, script)
+    assert contribution_counts(n, script) == counts
+    assert not decomposition._two_forms_agree(n, k)
+    with pytest.raises(RuntimeError, match="families disagree|share a generator"):
+        verify_stanley(n, k, check_rank=False)
+
+
+def _summand_at(script, M, g):
+    """The summand of the script that puts generator g at support M."""
+    return next(
+        (s, removed, gen) for s, removed, gen in script
+        if gen == g and not s & ~M.mask and (removed is None or removed not in M.elements)
+    )
+
+
+def _patch_script(monkeypatch, script):
+    monkeypatch.setattr(decomposition, "_script", lambda n_, k_: tuple(script))
+    # the generator groups are cached per (n, k); a fresh cache reads the
+    # corrupted script, and the original cache is restored afterwards
+    fresh = lru_cache(maxsize=None)(decomposition._by_generator.__wrapped__)
+    monkeypatch.setattr(decomposition, "_by_generator", fresh)
 
 
 def test_verify_stanley_does_no_per_pair_work(monkeypatch):
@@ -240,6 +277,45 @@ def test_verify_stanley_does_no_per_pair_work(monkeypatch):
         rep = verify_stanley(n, k, check_rank=False)
         assert rep.counts["hilbert_failures"] == comb(n, s)
         assert not rep.passed
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_transform_counts_equal_generator_counts(n):
+    # the subset-sum transform against a push of every summand into every
+    # support it reaches; both equal the dimension on the upper half
+    for k in range(max(n // 2, 1), n):
+        script = decomposition._script(n, k)
+        counts = contribution_counts(n, script)
+        assert counts == naive_support_counts(n, script)
+        assert all(counts[m] == comb(m.bit_count() - 1, k - 1) for m in range(1, 1 << n)
+                   if m.bit_count() >= k)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_triangle_pairs_equal_per_support_enumeration(n):
+    # no violating pair on the upper half, by either method
+    for k in range(max(n // 2, 1), n):
+        assert list(triangle_pairs(n, k)) == []
+        assert naive_violating_pairs(n, k) == set()
+
+
+@pytest.mark.parametrize("n, k", [(9, 4), (10, 5)])
+def test_verify_stanley_passes_without_the_pass_per_support(monkeypatch, n, k):
+    calls = []
+    support_pass = decomposition._support_pass
+    monkeypatch.setattr(
+        decomposition, "_support_pass", lambda *args: calls.append(args) or support_pass(*args)
+    )
+    supports = sum(comb(n, s) for s in range(k, n + 1))
+    for check_rank in (False, True):
+        rep = verify_stanley(n, k, check_rank=check_rank)
+        assert rep.passed and calls == []
+        assert rep.counts["supports"] == supports
+    # any support-free check that fails sends verify through the pass per
+    # support, here to find no violation after all
+    monkeypatch.setattr(decomposition, "triangle_pairs", lambda n_, k_: iter([(1, 2)]))
+    rep = verify_stanley(n, k, check_rank=False)
+    assert rep.passed and len(calls) == rep.counts["supports"] == supports
 
 
 def test_triangle_worked_example_and_trivia():

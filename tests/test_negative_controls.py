@@ -22,9 +22,10 @@ from koszuldepth.decomposition import (
     verify_stanley,
 )
 from koszuldepth.koszul import Multidegree, dim_oracle
+from koszuldepth.maskchecks import contribution_counts, triangle_pairs
 from koszuldepth.subsets import Subset
 
-from helpers import naive_contributes
+from helpers import naive_contributes, naive_support_counts, naive_violating_pairs
 
 
 @pytest.fixture
@@ -48,6 +49,29 @@ def test_every_layer_fails_just_below_the_guard(
         assert rep.counts[key] == failing, key
     assert len(rep.failures) == 4 * failing
     assert rep.text().endswith(f"FAIL stanley decomposition n={n} k={k}")
+
+
+@pytest.mark.parametrize("n, k, failing", [(4, 1, 6), (6, 2, 20), (8, 3, 70), (10, 4, 252)])
+def test_transform_counts_below_the_guard(unguarded, n, k, failing):
+    # the subset-sum transform counts what a push of every summand counts,
+    # also where the counts miss the dimension
+    script = decomposition._script(n, k)
+    counts = contribution_counts(n, script)
+    assert counts == naive_support_counts(n, script)
+    hilbert = decomposition._squarefree_hilbert(n, k, counts)
+    assert len(hilbert.failures) == failing
+
+
+@pytest.mark.parametrize(
+    "n, k, pairs", [(4, 1, 4), (6, 2, 12), (8, 3, 39), (10, 4, 133), (5, 1, 7), (7, 2, 23)]
+)
+def test_triangle_pairs_below_the_guard(n, k, pairs):
+    # the pair test finds exactly the pairs that violate the triangle
+    # condition on some support, each once, also where the construction is
+    # undefined ((5,1), (7,2)): it reads only the upward chains
+    got = list(triangle_pairs(n, k))
+    assert len(got) == len(set(got)) == pairs
+    assert set(got) == naive_violating_pairs(n, k)
 
 
 @pytest.mark.parametrize("n, k, failing", [(4, 1, 48), (6, 2, 408)])
