@@ -4,6 +4,9 @@ Bit e-1 encodes element e, so on a fixed cardinality level the squashed
 order is plain integer order on masks.  ``scan`` is the one place where the
 peaks of a lattice path are found: ``match_tables`` runs it on every mask,
 and the subset-level maps in :mod:`koszuldepth.matching` run it on one.
+The tables are cached for the last ``n`` (and ``k``) only: ``verify
+--all-n`` hands its tasks out in increasing (n, k) order, so no process
+comes back to an earlier size, and a larger cache only holds memory.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ def scan(n: int, mask: int) -> tuple[int, int, int]:
     return nu, mu, pivot
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def match_tables(n: int) -> MatchTables:
     """``psi``, ``phi`` and ``psi_tilde`` of every mask over {1..n}, by one
     ``scan`` per mask."""
@@ -105,7 +108,7 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
         i += 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
     """Per k-subset g over {1..n}: ``(added, facet, probe)``.
 

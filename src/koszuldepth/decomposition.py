@@ -127,7 +127,9 @@ class UndefinedScript(RuntimeError):
         self.mask = mask
 
 
-@lru_cache(maxsize=None)
+# like the bits tables, the script and its groups are cached for the last
+# (n, k) only
+@lru_cache(maxsize=1)
 def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     """(S mask, removed element, G mask) per summand, in (level, squashed) order."""
     tables = match_tables(n)
@@ -151,7 +153,7 @@ def _z_mask(n: int, removed: int | None) -> int:
     return full if removed is None else full & ~(1 << (removed - 1))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _by_generator(n: int, k: int) -> dict[int, list[tuple[int, int | None, int]]]:
     """:func:`_script`'s summands grouped by generator mask, in script order."""
     groups: dict[int, list] = {}
@@ -173,20 +175,24 @@ def _two_forms_agree(n: int, k: int) -> bool:
     )
 
 
-def _support_pass(
-    n: int, k: int, m_mask: int
-) -> tuple[list[tuple[int, int]], tuple[int, int] | None]:
-    """The contribution family of support mask ``m_mask`` as (G mask, index)
-    pairs, ascending, and the first member whose distinguished facet lies
-    inside an earlier member, with the earliest such member, or None.
+def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
+    return ContributionFamily(
+        M,
+        k,
+        tuple(FamilyMember(Subset.from_mask(M.n, g), ind) for g, ind in members),
+    )
 
-    The family is built as the k-subsets of even index and as the generators
-    of the summands met at M, from the script's groups of the k-subsets of
-    M; a repeated generator or a disagreement raises.  Only the facet plus
-    an element of M below the pivot can be an earlier member holding the
-    facet; these probes rise, so the lowest hit is the earliest.
-    """
-    table = k_subset_table(n, k)
+
+def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
+    """The family of support M, built both as the k-subsets of even index
+    and as the generators of the summands met at M, from the script's groups
+    of the k-subsets of M; a repeated generator or a disagreement raises."""
+    require_upper_half(n, k)
+    if M.n != n:
+        raise ValueError(f"support over n={M.n}, expected {n}")
+    if len(M) < k:
+        raise ValueError(f"support {M} has fewer than k={k} elements")
+    m_mask = M.mask
     groups = _by_generator(n, k)
     gens = [
         g
@@ -197,35 +203,9 @@ def _support_pass(
     gen_set = set(gens)
     if len(gen_set) != len(gens):
         raise RuntimeError(f"distinct summands share a generator on support mask {m_mask:#x}")
-    members = even_members(table, m_mask, k)
+    members = even_members(k_subset_table(n, k), m_mask, k)
     if gen_set != {g for g, _ in members}:
         raise RuntimeError(f"summand-based and parity-based families disagree on mask {m_mask:#x}")
-    for g, _ in members:
-        _, t, probe = table[g]
-        rest = m_mask & probe
-        while rest:
-            low = rest & -rest
-            if t | low in gen_set:
-                return members, (g, t | low)
-            rest ^= low
-    return members, None
-
-
-def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
-    return ContributionFamily(
-        M,
-        k,
-        tuple(FamilyMember(Subset.from_mask(M.n, g), ind) for g, ind in members),
-    )
-
-
-def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
-    require_upper_half(n, k)
-    if M.n != n:
-        raise ValueError(f"support over n={M.n}, expected {n}")
-    if len(M) < k:
-        raise ValueError(f"support {M} has fewer than k={k} elements")
-    members, _ = _support_pass(n, k, M.mask)
     return _family_from_masks(M, k, members)
 
 
@@ -473,11 +453,13 @@ def index_step_sweep(n: int) -> Report:
     """
     rep = Report(f"index increment n={n}")
     tables = match_tables(n)
+    # fetched once: the table cache holds only the last (n, k)
+    by_size = {size: k_subset_table(n, size) for size in range(max(n // 2, 1), n + 1)}
     by_case = {1: 0, 2: 0}
     checked = 0
     for m_mask in range(1, 1 << n):
         for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
-            table = k_subset_table(n, size)
+            table = by_size[size]
             for g_mask in sized_submasks(m_mask, size):
                 _, t_mask, probe = table[g_mask]
                 rest = m_mask & probe
@@ -510,14 +492,16 @@ def index_step_sweep(n: int) -> Report:
 def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    Three checks visit no support: the squarefree Hilbert identity (one
-    oracle call per support size), the two forms of every family, and the
-    triangle condition by pairs; with dimensions C(|M|-1, k-1) they also
-    fix every family's size.  If one fails, :func:`_support_pass` on each
-    support of size at least k names the failures.  Rank (by default for
-    n <= 13) is checked per support: mod 2, with Bareiss where that fails.
-    Below the range guard an undefined construction alone fails the report.
-    The depth conclusion cites the upper bound rather than verifying it.
+    The two forms of every family must agree, or this raises: then each
+    support's family is its k-subsets of even index.  Two checks visit no
+    support: the squarefree Hilbert identity (one oracle call per support
+    size) and the triangle condition by pairs; with dimensions
+    C(|M|-1, k-1) they also fix every family's size.  If one fails, each
+    support of size at least k names its size and first triangle failure.
+    Rank (by default for n <= 13) is checked per support: mod 2, with
+    Bareiss where that fails.  Below the range guard an undefined
+    construction alone fails the report.  The depth conclusion cites the
+    upper bound rather than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
@@ -529,6 +513,8 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
         rep.lines.append(f"stanley decomposition of M({n},{k}): undefined, no later check run")
         rep.fail(f"downward matching undefined below {Subset.from_mask(n, err.mask)}")
         return rep
+    if not _two_forms_agree(n, k):
+        raise RuntimeError(f"summand-based and parity-based families disagree at n={n} k={k}")
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
     counts = contribution_counts(n, script)
@@ -539,12 +525,11 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
-    # where the two forms agree, a family's size is its support's count, and
-    # the Hilbert check made that count the same across each support size
+    # a family's size is its support's count, and the Hilbert check made
+    # that count the same across each support size
     per_support = not (
         hilbert.passed
         and all(counts[(1 << s) - 1] == comb(s - 1, k - 1) for s in range(k, n + 1))
-        and _two_forms_agree(n, k)
         and next(triangle_pairs(n, k), None) is None
     )
     supports = sum(comb(n, s) for s in range(k, n + 1))
@@ -556,8 +541,8 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     for m_mask in range(1, 1 << n) if per_support or check_rank else ():
         if m_mask.bit_count() < k:
             continue
+        members = even_members(table, m_mask, k)
         if per_support:
-            members, violation = _support_pass(n, k, m_mask)
             expect = comb(m_mask.bit_count() - 1, k - 1)
             if len(members) != expect:
                 size_mismatches += 1
@@ -565,15 +550,14 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
                     f"support {Subset.from_mask(n, m_mask)}: family size {len(members)} "
                     f"!= C(|M|-1,k-1) = {expect}"
                 )
+            violation = _first_violation(match_tables(n), m_mask, [g for g, _ in members])
             if violation is not None:
                 triangle_violations += 1
-                g_bad, h_bad = (Subset.from_mask(n, g) for g in violation)
+                g_bad, h_bad = (Subset.from_mask(n, members[i][0]) for i in violation)
                 rep.fail(
                     f"support {Subset.from_mask(n, m_mask)}: distinguished facet of "
                     f"{g_bad} lies inside earlier {h_bad}"
                 )
-        else:
-            members = even_members(table, m_mask, k)
         if check_rank:
             rank_checked += 1
             # an odd maximal minor is a non-zero integer, so full rank mod 2

@@ -3,9 +3,10 @@
 The checks that let ``verify`` pass without visiting a support run on the
 upward chains of :func:`koszuldepth.bits.k_subset_table` (``even_stops``,
 ``triangle_pairs``) and on one subset-sum transform
-(``contribution_counts``); the README states the lemmas behind them.  The
-rank check mod 2 (``facet_rows``, ``rank_full_mod2``) and the parity form
-of a family (``even_members``) still run per support.
+(``contribution_counts``); the README states the lemmas behind them.  Once
+the two forms agree, a support's family is its parity form
+(``even_members``), which the rank check mod 2 (``facet_rows``,
+``rank_full_mod2``) and the naming of failures read per support.
 """
 
 from __future__ import annotations

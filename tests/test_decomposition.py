@@ -218,21 +218,24 @@ def test_repeated_generator_raises(monkeypatch):
 
 
 def test_two_form_check_catches_a_moved_generator(monkeypatch):
-    # one summand names another k-subset of its S as generator: every
-    # Hilbert count stays right, so only the two-form check sees it, and the
-    # pass per support then raises on the first support it reaches
+    # every Hilbert count stays right under each corruption, so only the
+    # two-form check sees it, and verify raises on it: one summand names
+    # another k-subset of its S as generator, or an added summand removes an
+    # element of its own S and so reaches no support at all
     n, k = 7, 3
     script = list(decomposition._script(n, k))
     counts = contribution_counts(n, script)
     i, (s, removed, g) = next(
         (i, sm) for i, sm in enumerate(script) if sm[0].bit_count() == k + 2
     )
-    script[i] = (s, removed, next(h for h in sized_submasks(s, k) if h != g))
-    _patch_script(monkeypatch, script)
-    assert contribution_counts(n, script) == counts
-    assert not decomposition._two_forms_agree(n, k)
-    with pytest.raises(RuntimeError, match="families disagree|share a generator"):
-        verify_stanley(n, k, check_rank=False)
+    moved = list(script)
+    moved[i] = (s, removed, next(h for h in sized_submasks(s, k) if h != g))
+    for corrupted in (moved, script + [(0b11111, 4, 0b111)]):
+        _patch_script(monkeypatch, corrupted)
+        assert contribution_counts(n, corrupted) == counts
+        assert not decomposition._two_forms_agree(n, k)
+        with pytest.raises(RuntimeError, match="families disagree"):
+            verify_stanley(n, k, check_rank=False)
 
 
 def _summand_at(script, M, g):
@@ -301,21 +304,30 @@ def test_triangle_pairs_equal_per_support_enumeration(n):
 
 @pytest.mark.parametrize("n, k", [(9, 4), (10, 5)])
 def test_verify_stanley_passes_without_the_pass_per_support(monkeypatch, n, k):
-    calls = []
-    support_pass = decomposition._support_pass
-    monkeypatch.setattr(
-        decomposition, "_support_pass", lambda *args: calls.append(args) or support_pass(*args)
-    )
+    calls = {"even_members": 0, "_first_violation": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
     supports = sum(comb(n, s) for s in range(k, n + 1))
-    for check_rank in (False, True):
+    # a PASS visits no support unless rank is checked, and rank reads only
+    # the members
+    for check_rank, members in ((False, 0), (True, supports)):
+        calls.update(even_members=0, _first_violation=0)
         rep = verify_stanley(n, k, check_rank=check_rank)
-        assert rep.passed and calls == []
-        assert rep.counts["supports"] == supports
-    # any support-free check that fails sends verify through the pass per
-    # support, here to find no violation after all
+        assert rep.passed and rep.counts["supports"] == supports
+        assert calls == {"even_members": members, "_first_violation": 0}
+    # any support-free check that fails sends verify through every support,
+    # here to find no violation after all
     monkeypatch.setattr(decomposition, "triangle_pairs", lambda n_, k_: iter([(1, 2)]))
+    calls.update(even_members=0, _first_violation=0)
     rep = verify_stanley(n, k, check_rank=False)
-    assert rep.passed and len(calls) == rep.counts["supports"] == supports
+    assert rep.passed and calls["_first_violation"] == rep.counts["supports"] == supports
 
 
 def test_triangle_worked_example_and_trivia():
@@ -644,9 +656,13 @@ def test_index_step_sweep_reads_the_table_probes(monkeypatch):
         "failures": sum(tr.index_H != tr.expected_H for tr in triples),
     }
     assert index_step_sweep(n).counts == tallies
-    table = k_subset_table(n, 4)
+    table = dict(k_subset_table(n, 4))
     g, (added, facet, probe) = next((g, entry) for g, entry in table.items() if entry[2])
-    monkeypatch.setitem(table, g, (added, facet, probe & (probe - 1)))
+    table[g] = (added, facet, probe & (probe - 1))
+    monkeypatch.setattr(
+        decomposition, "k_subset_table",
+        lambda n_, k_: table if (n_, k_) == (n, 4) else k_subset_table(n_, k_),
+    )
     assert index_step_sweep(n).counts != tallies
 
 

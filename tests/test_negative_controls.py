@@ -49,6 +49,84 @@ def test_every_layer_fails_just_below_the_guard(
         assert rep.counts[key] == failing, key
     assert len(rep.failures) == 4 * failing
     assert rep.text().endswith(f"FAIL stanley decomposition n={n} k={k}")
+    # the whole report, to pin the order of the lines per support: every
+    # Hilbert failure first, then per support its size, triangle and rank lines
+    if (n, k) == (4, 1):
+        expected = _below_guard_failures(_FAILING_4_1, rank=True)
+        assert rep.to_json() == {
+            "name": "stanley decomposition n=4 k=1",
+            "passed": False,
+            "counts": {
+                "hilbert_supports": 15, "hilbert_failures": 6, "summands": 8, "supports": 15,
+                "triangle_violations": 6, "family_size_mismatches": 6, "rank_checked": 15,
+                "rank_failures": 6, "min_Z": 3,
+            },
+            "failures": expected,
+        }
+        lines = [
+            "stanley decomposition of M(4,1): 8 summands",
+            "hilbert identity (squarefree): 15 degrees checked, 6 failures",
+            "families: 15 supports, sizes MISMATCHED, two-form agreement held",
+            "triangle condition (squashed order): 6 violations",
+            "exact rank: 15 sign matrices, 6 rank deficient",
+            "depth: |Z| sizes [3, 4], minimum 3 = n-1 attained by 5 summands",
+        ]
+        assert rep.lines == lines
+        assert rep.text() == "\n".join(
+            lines
+            + [f"counterexample: {f}" for f in expected[:20]]
+            + ["... and 4 more counterexamples", "FAIL stanley decomposition n=4 k=1"]
+        )
+    if (n, k) == (6, 2):
+        rep = verify_stanley(n, k, check_rank=False)
+        assert rep.failures == _below_guard_failures(_FAILING_6_2, rank=False)
+
+
+# per failing support: summands there (also its family size), dimension
+# (also C(|M|-1,k-1)), the member whose facet is hit and the earlier member
+_FAILING_4_1 = [
+    ("{2,4}", 2, 1, "{4}", "{2}"),
+    ("{1,2,4}", 2, 1, "{4}", "{2}"),
+    ("{3,4}", 2, 1, "{4}", "{3}"),
+    ("{1,3,4}", 2, 1, "{3}", "{1}"),
+    ("{2,3,4}", 3, 1, "{3}", "{2}"),
+    ("{1,2,3,4}", 3, 1, "{3}", "{2}"),
+]
+_FAILING_6_2 = [
+    ("{2,4,6}", 3, 2, "{4,6}", "{2,6}"),
+    ("{1,2,4,6}", 4, 3, "{4,6}", "{2,6}"),
+    ("{3,4,6}", 3, 2, "{4,6}", "{3,6}"),
+    ("{1,3,4,6}", 4, 3, "{3,6}", "{1,6}"),
+    ("{2,3,4,6}", 5, 3, "{3,6}", "{2,6}"),
+    ("{1,2,3,4,6}", 6, 4, "{3,6}", "{2,6}"),
+    ("{2,5,6}", 3, 2, "{5,6}", "{2,5}"),
+    ("{1,2,5,6}", 4, 3, "{5,6}", "{2,5}"),
+    ("{3,5,6}", 3, 2, "{5,6}", "{3,5}"),
+    ("{1,3,5,6}", 4, 3, "{3,5}", "{1,5}"),
+    ("{2,3,5,6}", 5, 3, "{3,5}", "{2,5}"),
+    ("{1,2,3,5,6}", 6, 4, "{3,5}", "{2,5}"),
+    ("{4,5,6}", 3, 2, "{5,6}", "{4,5}"),
+    ("{1,4,5,6}", 4, 3, "{4,5}", "{1,4}"),
+    ("{2,4,5,6}", 6, 3, "{4,5}", "{2,4}"),
+    ("{1,2,4,5,6}", 7, 4, "{4,5}", "{2,4}"),
+    ("{3,4,5,6}", 6, 3, "{4,5}", "{3,4}"),
+    ("{1,3,4,5,6}", 7, 4, "{3,5}", "{1,5}"),
+    ("{2,3,4,5,6}", 9, 4, "{3,5}", "{2,5}"),
+    ("{1,2,3,4,5,6}", 10, 5, "{3,5}", "{2,5}"),
+]
+
+
+def _below_guard_failures(rows, rank):
+    per_support = [
+        [
+            f"support {M}: family size {got} != C(|M|-1,k-1) = {dim}",
+            f"support {M}: distinguished facet of {g} lies inside earlier {h}",
+        ] + ([f"support {M}: sign matrix rank deficient"] if rank else [])
+        for M, got, dim, g, h in rows
+    ]
+    return [f"support {M}: {got} summands vs dimension {dim}" for M, got, dim, _, _ in rows] + [
+        line for lines in per_support for line in lines
+    ]
 
 
 @pytest.mark.parametrize("n, k, failing", [(4, 1, 6), (6, 2, 20), (8, 3, 70), (10, 4, 252)])
@@ -93,9 +171,8 @@ def test_box_check_fails_just_below_the_guard(unguarded, n, k, failing):
 
 
 def test_triangle_lines_name_the_first_violation(unguarded):
-    # the pass per support only probes facets below the pivot; on a hit, its
-    # line must be the pair the general order-agnostic search finds on the
-    # support's canonical family
+    # each triangle line must be the pair the general order-agnostic search
+    # finds on the support's canonical family, in support order
     n, k = 6, 2
     expected = []
     for m_mask in range(1, 1 << n):
