@@ -186,7 +186,8 @@ def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> Con
 def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
     """The family of support M, built both as the k-subsets of even index
     and as the generators of the summands met at M, from the script's groups
-    of the k-subsets of M; a repeated generator or a disagreement raises."""
+    of the k-subsets of M; a repeated generator, a summand that removes an
+    element of its own S, or a disagreement raises."""
     require_upper_half(n, k)
     if M.n != n:
         raise ValueError(f"support over n={M.n}, expected {n}")
@@ -194,12 +195,10 @@ def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
         raise ValueError(f"support {M} has fewer than k={k} elements")
     m_mask = M.mask
     groups = _by_generator(n, k)
-    gens = [
-        g
-        for g in sized_submasks(m_mask, k)
-        for s, removed, _ in groups.get(g, ())
-        if not s & ~m_mask and (removed is None or not m_mask >> (removed - 1) & 1)
-    ]
+    summands = [sm for g in sized_submasks(m_mask, k) for sm in groups.get(g, ())]
+    if any(r and s >> (r - 1) & 1 for s, r, _ in summands):
+        raise RuntimeError(f"a summand removes an element of its own S on support mask {m_mask:#x}")
+    gens = [g for s, r, g in summands if not s & ~m_mask and (r is None or not m_mask >> (r - 1) & 1)]
     gen_set = set(gens)
     if len(gen_set) != len(gens):
         raise RuntimeError(f"distinct summands share a generator on support mask {m_mask:#x}")

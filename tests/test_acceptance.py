@@ -82,11 +82,11 @@ def test_criterion_02_inverse_law():
 
 def test_criterion_03_index_equivalence():
     t0 = time.perf_counter()
-    reports = [check_index_equivalence(n) for n in range(1, 11)]
+    reports = [check_index_equivalence(n) for n in range(1, 17)]
     elapsed = time.perf_counter() - t0
     bad = [r.name for r in reports if not r.passed]
     total = sum(r.counts["pairs"] for r in reports)
-    _line(3, not bad and elapsed < 120.0, elapsed, f"{total} (G, M) pairs, n <= 10")
+    _line(3, not bad and elapsed < 120.0, elapsed, f"{total} (G, M) pairs, n <= 16")
     assert not bad
     assert elapsed < 120.0
 

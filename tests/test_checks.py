@@ -1,6 +1,7 @@
 """The exhaustive matching-law sweeps behind the check subcommands."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -76,6 +77,100 @@ def test_index_equivalence_sweep():
         assert rep.passed
         assert rep.counts["pairs"] == 3 ** n
         assert rep.counts["failures"] == 0
+        # the per-pair walk itself, on the real tables, finds the same
+        walked = checks._index_walk(n, match_tables(n))
+        assert walked.counts == {"pairs": 3 ** n, "failures": 0}
+        assert walked == rep
+
+
+def test_index_equivalence_passes_without_the_walk(monkeypatch):
+    calls = []
+    walk = checks._index_walk
+    monkeypatch.setattr(checks, "_index_walk", lambda n, t: calls.append(n) or walk(n, t))
+    for n in range(1, 13):
+        rep = check_index_equivalence(n)
+        assert rep.passed and rep.counts == {"pairs": 3 ** n, "failures": 0}
+    assert calls == []
+    # a failed inverse-steps test sends the check through the walk once
+    tables = match_tables(6)
+    psi = list(tables.psi)
+    psi[0b001111] = None
+    corrupted = dataclasses.replace(tables, psi=tuple(psi))
+    monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
+    assert not check_index_equivalence(6).passed
+    assert calls == [6]
+
+
+def _corrupt(rng, tables):
+    """One or two entries of phi or psi set to None, to a one-element step
+    in the map's own direction, or to an arbitrary mask; and whether every
+    new entry is None or such a step."""
+    n, size = tables.n, 1 << tables.n
+    maps = {"phi": list(tables.phi), "psi": list(tables.psi)}
+    steps_only = True
+    for _ in range(rng.randint(1, 2)):
+        name, mask = rng.choice(("phi", "psi")), rng.randrange(size)
+        kind = rng.choice(("none", "step", "arbitrary"))
+        # phi adds an element outside the mask, psi deletes one inside it
+        pool = [b for b in range(n) if (mask >> b & 1) == (name == "psi")]
+        if kind == "none" or (kind == "step" and not pool):
+            wrong = None
+        elif kind == "step":
+            wrong = mask ^ 1 << rng.choice(pool)
+        else:
+            wrong, steps_only = rng.randrange(size), False
+        maps[name][mask] = wrong
+    corrupted = dataclasses.replace(tables, phi=tuple(maps["phi"]), psi=tuple(maps["psi"]))
+    return corrupted, steps_only
+
+
+def test_index_equivalence_reports_what_the_walk_reports(monkeypatch):
+    # on corrupted tables the check's report is the per-pair walk's, so a
+    # PASS without the walk is never a FAIL of the walk; on tables of
+    # one-element steps in each map's direction the two verdicts agree (the
+    # converse in the README)
+    rng = random.Random(2024)
+    failed = 0
+    for _ in range(2000):
+        n = rng.randint(1, 7)
+        corrupted, steps_only = _corrupt(rng, match_tables(n))
+        monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
+        walked = checks._index_walk(n, corrupted)
+        assert check_index_equivalence(n) == walked
+        if steps_only:
+            assert checks._inverse_steps(corrupted) == walked.passed
+        failed += not walked.passed
+    assert failed > 1000
+
+
+@pytest.mark.parametrize(
+    "cycle",
+    [
+        # {2,4,6} is unmatched; made its own image it steps by no element
+        [0b101010, 0b101010],
+        # {} -> {1} -> {1,2} -> {2} -> {}: phi deletes an element on the way back
+        [0b00, 0b01, 0b11, 0b10, 0b00],
+    ],
+)
+def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle):
+    # the maps are rebuilt to run round the cycle and still invert each
+    # other, so only the one-element condition of the inverse-steps test
+    # can reject the tables
+    n = 6
+    tables = match_tables(n)
+    phi, psi = list(tables.phi), list(tables.psi)
+    for x in range(1 << n):
+        if x in cycle or phi[x] in cycle:
+            phi[x] = None
+        if x in cycle or psi[x] in cycle:
+            psi[x] = None
+    for g, h in zip(cycle, cycle[1:]):
+        phi[g], psi[h] = h, g
+    cyclic = dataclasses.replace(tables, phi=tuple(phi), psi=tuple(psi))
+    monkeypatch.setattr(checks, "match_tables", lambda _n: cyclic)
+    rep = check_index_equivalence(n)
+    assert not rep.passed
+    assert rep == checks._index_walk(n, cyclic)
 
 
 @pytest.mark.parametrize(

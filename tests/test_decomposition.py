@@ -238,6 +238,24 @@ def test_two_form_check_catches_a_moved_generator(monkeypatch):
             verify_stanley(n, k, check_rank=False)
 
 
+def test_summand_removing_an_element_of_its_own_s_raises(monkeypatch):
+    # such a summand reaches no support, so the per-support comparison of
+    # the two forms cannot see it; every support whose k-subsets include its
+    # generator must refuse the script, the others still build their family
+    n, k = 7, 3
+    script = list(decomposition._script(n, k)) + [(0b11111, 4, 0b111)]
+    _patch_script(monkeypatch, script)
+    for m_mask in range(1 << n):
+        if m_mask.bit_count() < k:
+            continue
+        M = Subset.from_mask(n, m_mask)
+        if m_mask & 0b111 == 0b111:
+            with pytest.raises(RuntimeError, match="removes an element of its own S"):
+                contribution_family(n, k, M)
+        else:
+            assert contribution_family(n, k, M).members
+
+
 def _summand_at(script, M, g):
     """The summand of the script that puts generator g at support M."""
     return next(

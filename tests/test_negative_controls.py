@@ -14,7 +14,6 @@ from itertools import product
 import pytest
 
 from koszuldepth import decomposition
-from koszuldepth.bits import match_tables
 from koszuldepth.decomposition import (
     build_decomposition,
     contribution_family,
@@ -25,7 +24,7 @@ from koszuldepth.koszul import Multidegree, dim_oracle
 from koszuldepth.maskchecks import contribution_counts, triangle_pairs
 from koszuldepth.subsets import Subset
 
-from helpers import naive_contributes, naive_support_counts, naive_violating_pairs
+from helpers import naive_contributes, naive_support_counts, naive_triangle, naive_violating_pairs
 
 
 @pytest.fixture
@@ -171,21 +170,18 @@ def test_box_check_fails_just_below_the_guard(unguarded, n, k, failing):
 
 
 def test_triangle_lines_name_the_first_violation(unguarded):
-    # each triangle line must be the pair the general order-agnostic search
-    # finds on the support's canonical family, in support order
+    # each triangle line must be the pair the quadratic search on element
+    # sets finds on the support's canonical family, in support order
     n, k = 6, 2
     expected = []
     for m_mask in range(1, 1 << n):
         if m_mask.bit_count() < k:
             continue
         M = Subset.from_mask(n, m_mask)
-        members = [mem.G for mem in contribution_family(n, k, M).members]
-        bad = decomposition._first_violation(match_tables(n), m_mask, [G.mask for G in members])
+        bad = naive_triangle(contribution_family(n, k, M))
         if bad is not None:
-            i, j = bad
-            expected.append(
-                f"support {M}: distinguished facet of {members[i]} lies inside earlier {members[j]}"
-            )
+            g, h = bad
+            expected.append(f"support {M}: distinguished facet of {g} lies inside earlier {h}")
     got = [f for f in verify_stanley(n, k, check_rank=False).failures if "distinguished facet" in f]
     assert len(expected) == 20
     assert got == expected
