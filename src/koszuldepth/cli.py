@@ -302,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("check-matching", help="matching law suites (inverse, index-eq, greedy)")
-    sp.add_argument("n", type=int, help="recommended maxima: inverse 20, index-eq 20, greedy 19; "
-                    "an index-eq FAIL still walks all 3^n (G, M) pairs")
+    sp.add_argument("n", type=int, help="recommended maxima: inverse 20, index-eq 20, greedy 19")
     sp.add_argument("which", nargs="*", metavar="which",
                     help="any of: inverse, index-eq, greedy (default: all three)")
     _add_format(sp)

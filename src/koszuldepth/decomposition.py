@@ -127,8 +127,8 @@ class UndefinedScript(RuntimeError):
         self.mask = mask
 
 
-# like the bits tables, the script and its groups are cached for the last
-# (n, k) only
+# like the bits tables, the script and its two-form check are cached for the
+# last (n, k) only
 @lru_cache(maxsize=1)
 def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     """(S mask, removed element, G mask) per summand, in (level, squashed) order."""
@@ -154,25 +154,21 @@ def _z_mask(n: int, removed: int | None) -> int:
 
 
 @lru_cache(maxsize=1)
-def _by_generator(n: int, k: int) -> dict[int, list[tuple[int, int | None, int]]]:
-    """:func:`_script`'s summands grouped by generator mask, in script order."""
+def _two_forms_agree(n: int, k: int) -> None:
+    """Raise unless each k-subset G, with upward chain a_1 < a_2 < ...,
+    generates exactly the summands (G | a_1..a_j, a_{j+1}) of :func:`_script`
+    for even j, in script order, no a_{j+1} past the chain's end.  Then at
+    every support the generators are the k-subsets of even index, each once:
+    the index is the one j that fits."""
     groups: dict[int, list] = {}
     for summand in _script(n, k):
         groups.setdefault(summand[2], []).append(summand)
-    return groups
-
-
-def _two_forms_agree(n: int, k: int) -> bool:
-    """Whether each k-subset G, with upward chain a_1 < a_2 < ..., generates
-    exactly the summands (G | a_1..a_j, a_{j+1}) for even j, no a_{j+1} past
-    the chain's end.  Then at every support the generators are the k-subsets
-    of even index, each once: the index is the one j that fits."""
-    groups = _by_generator(n, k)
     table = k_subset_table(n, k)
-    return len(groups) == len(table) and all(
+    if len(groups) != len(table) or not all(
         groups.get(g) == [(g | prefix, a.bit_length() or None, g) for prefix, a in even_stops(added)]
         for g, (added, _, _) in table.items()
-    )
+    ):
+        raise RuntimeError(f"summand-based and parity-based families disagree at n={n} k={k}")
 
 
 def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
@@ -184,28 +180,15 @@ def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> Con
 
 
 def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
-    """The family of support M, built both as the k-subsets of even index
-    and as the generators of the summands met at M, from the script's groups
-    of the k-subsets of M; a repeated generator, a summand that removes an
-    element of its own S, or a disagreement raises."""
+    """The family of support M: its k-subsets of even index, ascending.
+    Raises unless the two forms of every family agree (:func:`_two_forms_agree`)."""
     require_upper_half(n, k)
     if M.n != n:
         raise ValueError(f"support over n={M.n}, expected {n}")
     if len(M) < k:
         raise ValueError(f"support {M} has fewer than k={k} elements")
-    m_mask = M.mask
-    groups = _by_generator(n, k)
-    summands = [sm for g in sized_submasks(m_mask, k) for sm in groups.get(g, ())]
-    if any(r and s >> (r - 1) & 1 for s, r, _ in summands):
-        raise RuntimeError(f"a summand removes an element of its own S on support mask {m_mask:#x}")
-    gens = [g for s, r, g in summands if not s & ~m_mask and (r is None or not m_mask >> (r - 1) & 1)]
-    gen_set = set(gens)
-    if len(gen_set) != len(gens):
-        raise RuntimeError(f"distinct summands share a generator on support mask {m_mask:#x}")
-    members = even_members(k_subset_table(n, k), m_mask, k)
-    if gen_set != {g for g, _ in members}:
-        raise RuntimeError(f"summand-based and parity-based families disagree on mask {m_mask:#x}")
-    return _family_from_masks(M, k, members)
+    _two_forms_agree(n, k)
+    return _family_from_masks(M, k, even_members(k_subset_table(n, k), M.mask, k))
 
 
 def distinguished_subset(G: Subset) -> Subset:
@@ -340,8 +323,8 @@ def verify_box(n: int, k: int, box_depth: int) -> Report:
 
 def _box_hilbert(n: int, k: int, pairs: list[tuple[int, int]], box_depth: int) -> Report:
     """The box identity, given each summand's (S, Z) masks."""
-    if box_depth < 0:
-        raise ValueError(f"box depth must be >= 0, got {box_depth}")
+    if not isinstance(box_depth, int) or isinstance(box_depth, bool) or box_depth < 0:
+        raise ValueError(f"box depth must be an integer >= 0, got {box_depth!r}")
     rep = Report(f"hilbert identity n={n} k={k} (box)")
     checked = 0
     for exps in product(range(box_depth + 1), repeat=n):
@@ -512,8 +495,7 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
         rep.lines.append(f"stanley decomposition of M({n},{k}): undefined, no later check run")
         rep.fail(f"downward matching undefined below {Subset.from_mask(n, err.mask)}")
         return rep
-    if not _two_forms_agree(n, k):
-        raise RuntimeError(f"summand-based and parity-based families disagree at n={n} k={k}")
+    _two_forms_agree(n, k)
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
     counts = contribution_counts(n, script)

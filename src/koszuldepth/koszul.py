@@ -22,7 +22,9 @@ class Multidegree:
     exponents: tuple[int, ...]
 
     def __init__(self, n: int, exponents) -> None:
-        exps = tuple(int(e) for e in exponents)
+        exps = tuple(exponents)
+        if any(not isinstance(e, int) or isinstance(e, bool) for e in exps):
+            raise ValueError(f"exponents must be integers, got {exps}")
         if len(exps) != n:
             raise ValueError(f"expected {n} exponents, got {len(exps)}")
         if any(e < 0 for e in exps):

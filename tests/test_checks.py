@@ -72,33 +72,44 @@ def test_inverse_law_psi_defined_count():
 
 
 def test_index_equivalence_sweep():
-    for n in range(1, 11):
-        rep = check_index_equivalence(n)
-        assert rep.passed
-        assert rep.counts["pairs"] == 3 ** n
-        assert rep.counts["failures"] == 0
-        # the per-pair walk itself, on the real tables, finds the same
-        walked = checks._index_walk(n, match_tables(n))
-        assert walked.counts == {"pairs": 3 ** n, "failures": 0}
-        assert walked == rep
-
-
-def test_index_equivalence_passes_without_the_walk(monkeypatch):
-    calls = []
-    walk = checks._index_walk
-    monkeypatch.setattr(checks, "_index_walk", lambda n, t: calls.append(n) or walk(n, t))
     for n in range(1, 13):
         rep = check_index_equivalence(n)
-        assert rep.passed and rep.counts == {"pairs": 3 ** n, "failures": 0}
-    assert calls == []
-    # a failed inverse-steps test sends the check through the walk once
-    tables = match_tables(6)
-    psi = list(tables.psi)
-    psi[0b001111] = None
-    corrupted = dataclasses.replace(tables, psi=tuple(psi))
-    monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
-    assert not check_index_equivalence(6).passed
-    assert calls == [6]
+        assert rep.passed
+        assert rep.counts == {"pairs": 3 ** n, "failures": 0}
+        assert rep.lines == [f"index equivalence: {3 ** n} (G, M) pairs, 0 disagreements"]
+    # the pairs themselves, on the real tables, by the independent oracle
+    for n in range(1, 8):
+        assert naive_index_disagreements(match_tables(n)) == []
+
+
+def _patch_tables(monkeypatch, tables, **entries):
+    """Install a copy of ``tables`` with the given {mask: value} entries
+    written into its named maps."""
+    maps = {name: list(getattr(tables, name)) for name in entries}
+    for name, changes in entries.items():
+        for mask, value in changes.items():
+            maps[name][mask] = value
+    patched = dataclasses.replace(tables, **{name: tuple(v) for name, v in maps.items()})
+    monkeypatch.setattr(checks, "match_tables", lambda _n: patched)
+    return patched
+
+
+def test_index_equivalence_fails_on_a_two_cycle(monkeypatch):
+    # phi({2,4}) = {2,4,5} and psi({2,4,5}) = {2,4} are real; the added
+    # phi({2,4,5}) = {2,4} and psi({2,4}) = {2,4,5} keep both maps inverse,
+    # so only the one-element condition can reject the tables
+    n, g, h = 5, 0b01010, 0b11010
+    tables = match_tables(n)
+    assert (tables.phi[g], tables.psi[h], tables.phi[h], tables.psi[g]) == (h, g, None, None)
+    _patch_tables(monkeypatch, tables, phi={h: g}, psi={g: h})
+    rep = check_index_equivalence(n)
+    assert not rep.passed
+    assert rep.failures == ["phi({2,4,5}) = {2,4} does not add one element"]
+    assert rep.counts == {"pairs": 243, "failures": 1}
+    assert rep.lines == [
+        "index equivalence: 1 broken step relations over 32 masks, "
+        "so the 243 (G, M) pairs are not shown equal"
+    ]
 
 
 def _corrupt(rng, tables):
@@ -124,38 +135,40 @@ def _corrupt(rng, tables):
     return corrupted, steps_only
 
 
-def test_index_equivalence_reports_what_the_walk_reports(monkeypatch):
-    # on corrupted tables the check's report is the per-pair walk's, so a
-    # PASS without the walk is never a FAIL of the walk; on tables of
-    # one-element steps in each map's direction the two verdicts agree (the
-    # converse in the README)
+def test_index_equivalence_fails_exactly_when_a_pair_disagrees(monkeypatch):
+    # on tables whose every corrupted entry is None or a one-element step in
+    # its map's direction, FAIL exactly when the per-pair oracle finds a
+    # disagreeing pair (the converse in the README); other corruptions can
+    # make the maps cyclic, where the oracle does not terminate
     rng = random.Random(2024)
-    failed = 0
+    checked = failed = 0
     for _ in range(2000):
         n = rng.randint(1, 7)
         corrupted, steps_only = _corrupt(rng, match_tables(n))
+        if not steps_only:
+            continue
         monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
-        walked = checks._index_walk(n, corrupted)
-        assert check_index_equivalence(n) == walked
-        if steps_only:
-            assert checks._inverse_steps(corrupted) == walked.passed
-        failed += not walked.passed
-    assert failed > 1000
+        rep = check_index_equivalence(n)
+        assert rep.passed == (naive_index_disagreements(corrupted) == [])
+        checked += 1
+        failed += not rep.passed
+    assert checked > 1000 and failed > 500
 
 
 @pytest.mark.parametrize(
-    "cycle",
+    "cycle, broken",
     [
         # {2,4,6} is unmatched; made its own image it steps by no element
-        [0b101010, 0b101010],
+        pytest.param([0b101010, 0b101010], ["phi({2,4,6}) = {2,4,6}"], id="cycle0"),
         # {} -> {1} -> {1,2} -> {2} -> {}: phi deletes an element on the way back
-        [0b00, 0b01, 0b11, 0b10, 0b00],
+        pytest.param([0b00, 0b01, 0b11, 0b10, 0b00], ["phi({2}) = {}", "phi({1,2}) = {2}"],
+                     id="cycle1"),
     ],
 )
-def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle):
+def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle, broken):
     # the maps are rebuilt to run round the cycle and still invert each
-    # other, so only the one-element condition of the inverse-steps test
-    # can reject the tables
+    # other, so only the one-element condition can reject the tables, and
+    # it names exactly the steps that do not add an element
     n = 6
     tables = match_tables(n)
     phi, psi = list(tables.phi), list(tables.psi)
@@ -170,7 +183,7 @@ def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle):
     monkeypatch.setattr(checks, "match_tables", lambda _n: cyclic)
     rep = check_index_equivalence(n)
     assert not rep.passed
-    assert rep == checks._index_walk(n, cyclic)
+    assert rep.failures == [f"{step} does not add one element" for step in broken]
 
 
 @pytest.mark.parametrize(
@@ -186,25 +199,18 @@ def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle):
     ],
 )
 def test_index_equivalence_fails_on_corrupted_table(monkeypatch, field, mask, wrong):
-    # negative control: one wrong entry in one table must be reported, pair
-    # for pair, as the per-pair walks over the same tables report it
+    # negative control: one wrong entry in one table is named by its mask,
+    # and the per-pair oracle confirms that some pair disagrees there
     n = 6
     tables = match_tables(n)
-    entries = list(getattr(tables, field))
-    assert entries[mask] not in (None, wrong)
-    entries[mask] = wrong
-    corrupted = dataclasses.replace(tables, **{field: tuple(entries)})
-    monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
+    assert getattr(tables, field)[mask] not in (None, wrong)
+    corrupted = _patch_tables(monkeypatch, tables, **{field: {mask: wrong}})
     rep = check_index_equivalence(n)
-    expected = [
-        f"M={Subset.from_mask(n, m)} G={Subset.from_mask(n, g)}: "
-        f"upward index {up} != downward index {down}"
-        for m, g, up, down in naive_index_disagreements(corrupted)
-    ]
-    assert expected
+    assert naive_index_disagreements(corrupted)
     assert not rep.passed
-    assert rep.failures == expected
-    assert rep.counts["pairs"] == 3 ** n
+    assert rep.counts == {"pairs": 3 ** n, "failures": len(rep.failures)}
+    named = Subset.from_mask(n, mask)
+    assert any(f"({named})" in f for f in rep.failures)
 
 
 def test_greedy_agreement_sweep():

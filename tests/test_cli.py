@@ -413,6 +413,19 @@ def test_benchmark_tracer_installs():
     assert proc.stdout == "installed\n"
 
 
+@pytest.mark.parametrize("workload", ["sweep", "deep", "laws"])
+def test_benchmark_tracer_smoke_run(workload):
+    # the traced run and replay at smoke sizes: every wrapped name is called
+    # through, and the gated output and replay find no problem
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/trace.py", "--workload", workload, "--smoke"],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["problems"] == []
+
+
 def test_module_entrypoint():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(

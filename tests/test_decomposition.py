@@ -184,6 +184,14 @@ def test_family_sizes(n):
             assert masks == sorted(masks)
 
 
+def _every_support_refuses(n, k):
+    """Every support's contribution_family raises under the patched script."""
+    for m_mask in range(1 << n):
+        if m_mask.bit_count() >= k:
+            with pytest.raises(RuntimeError, match="families disagree"):
+                contribution_family(n, k, Subset.from_mask(n, m_mask))
+
+
 @pytest.mark.parametrize("drop", [0, -1, None])
 def test_families_disagree_even_when_counts_match(monkeypatch, drop):
     # the summand form gains an odd-index k-subset of M and loses one
@@ -200,8 +208,7 @@ def test_families_disagree_even_when_counts_match(monkeypatch, drop):
         script.remove(_summand_at(script, M, members[drop]))
     script.append((M.mask, 3, odd))
     _patch_script(monkeypatch, script)
-    with pytest.raises(RuntimeError, match="families disagree"):
-        contribution_family(n, k, M)
+    _every_support_refuses(n, k)
     with pytest.raises(RuntimeError, match="families disagree"):
         verify_stanley(n, k, check_rank=False)
 
@@ -213,8 +220,7 @@ def test_repeated_generator_raises(monkeypatch):
     script = list(decomposition._script(n, k))
     script.append(_summand_at(script, M, members[-1]))
     _patch_script(monkeypatch, script)
-    with pytest.raises(RuntimeError, match="share a generator"):
-        contribution_family(n, k, M)
+    _every_support_refuses(n, k)
 
 
 def test_two_form_check_catches_a_moved_generator(monkeypatch):
@@ -233,27 +239,34 @@ def test_two_form_check_catches_a_moved_generator(monkeypatch):
     for corrupted in (moved, script + [(0b11111, 4, 0b111)]):
         _patch_script(monkeypatch, corrupted)
         assert contribution_counts(n, corrupted) == counts
-        assert not decomposition._two_forms_agree(n, k)
+        with pytest.raises(RuntimeError, match="families disagree"):
+            decomposition._two_forms_agree(n, k)
         with pytest.raises(RuntimeError, match="families disagree"):
             verify_stanley(n, k, check_rank=False)
 
 
 def test_summand_removing_an_element_of_its_own_s_raises(monkeypatch):
-    # such a summand reaches no support, so the per-support comparison of
-    # the two forms cannot see it; every support whose k-subsets include its
-    # generator must refuse the script, the others still build their family
+    # such a summand reaches no support, so no comparison at one support
+    # could see it; the whole-script check refuses it at every support
     n, k = 7, 3
-    script = list(decomposition._script(n, k)) + [(0b11111, 4, 0b111)]
-    _patch_script(monkeypatch, script)
-    for m_mask in range(1 << n):
-        if m_mask.bit_count() < k:
-            continue
-        M = Subset.from_mask(n, m_mask)
-        if m_mask & 0b111 == 0b111:
-            with pytest.raises(RuntimeError, match="removes an element of its own S"):
-                contribution_family(n, k, M)
-        else:
-            assert contribution_family(n, k, M).members
+    _patch_script(monkeypatch, list(decomposition._script(n, k)) + [(0b11111, 4, 0b111)])
+    _every_support_refuses(n, k)
+
+
+def test_two_forms_compared_once_across_supports(monkeypatch):
+    # the whole-script comparison reads each k-subset's chain once and is
+    # cached per (n, k), so building every support's family (as the
+    # benchmark tracer's replay does) runs it once, not once per support
+    n, k = 9, 4
+    calls = []
+    stops = decomposition.even_stops
+    monkeypatch.setattr(decomposition, "even_stops", lambda added: calls.append(added) or stops(added))
+    decomposition._two_forms_agree.cache_clear()
+    supports = [m for m in range(1 << n) if m.bit_count() >= k]
+    for m_mask in supports:
+        fam = contribution_family(n, k, Subset.from_mask(n, m_mask))
+        assert len(fam.members) == comb(m_mask.bit_count() - 1, k - 1)
+    assert len(supports) == 382 and len(calls) == comb(n, k)
 
 
 def _summand_at(script, M, g):
@@ -266,10 +279,10 @@ def _summand_at(script, M, g):
 
 def _patch_script(monkeypatch, script):
     monkeypatch.setattr(decomposition, "_script", lambda n_, k_: tuple(script))
-    # the generator groups are cached per (n, k); a fresh cache reads the
+    # the two-form check is cached per (n, k); a fresh cache reads the
     # corrupted script, and the original cache is restored afterwards
-    fresh = lru_cache(maxsize=None)(decomposition._by_generator.__wrapped__)
-    monkeypatch.setattr(decomposition, "_by_generator", fresh)
+    fresh = lru_cache(maxsize=1)(decomposition._two_forms_agree.__wrapped__)
+    monkeypatch.setattr(decomposition, "_two_forms_agree", fresh)
 
 
 def test_verify_stanley_does_no_per_pair_work(monkeypatch):
@@ -528,6 +541,15 @@ def test_verify_hilbert_squarefree_and_box():
 
     with pytest.raises(ValueError):
         verify_hilbert(d, "cubes")
+
+
+@pytest.mark.parametrize("depth", [-1, 1.5, 2.0, True])
+def test_box_depth_must_be_a_non_negative_integer(depth):
+    # a float depth used to reach range() and raise TypeError there
+    with pytest.raises(ValueError, match="box depth must be an integer >= 0"):
+        verify_hilbert(build_decomposition(3, 1), "box", depth)
+    with pytest.raises(ValueError, match="box depth must be an integer >= 0"):
+        decomposition.verify_box(3, 1, depth)
 
 
 def test_verify_hilbert_pointwise_examples():

@@ -31,6 +31,14 @@ def test_multidegree_basics():
         Multidegree(3, (1, -1, 0))
 
 
+@pytest.mark.parametrize("exps", [(1.7, 0, 0), (0.9, 0, 0), (1.0, 0, 0), (True, 0, 0), ("1", 0, 0)])
+def test_multidegree_rejects_non_integer_exponents(exps):
+    # int() would truncate 1.7 to 1 and 0.9 to 0, so the oracle would
+    # answer for another multidegree
+    with pytest.raises(ValueError, match="exponents must be integers"):
+        Multidegree(3, exps)
+
+
 def test_boundary_examples():
     assert boundary(Subset(3, [1, 3])).text() == "+x1*e{3} -x3*e{1}"
     assert boundary(Subset(4, [1])).text() == "+x1*e{}"
