@@ -183,8 +183,10 @@ def cmd_verify(args) -> int:
         decomposition.require_upper_half(args.n, args.k)
         tasks = [(args.n, args.k, args.box, rank)]
 
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks every worker at its first task, so never more than tasks
+    workers = min(args.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_one, tasks))
     else:
         results = [_verify_one(t) for t in tasks]
@@ -297,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
                     help="exact rank checking (auto: on for n <= 13)")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
-                    help="worker processes for sweeps")
+                    help="worker processes for sweeps, at most one per (n, k) task")
     _add_format(sp)
     sp.set_defaults(func=cmd_verify)
 

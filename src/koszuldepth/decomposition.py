@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+from operator import ne
+from typing import Iterator
 
 from . import matching
 # phi_index and lattice_path are unused here, but the benchmark tracer wraps
@@ -196,50 +198,35 @@ def distinguished_subset(G: Subset) -> Subset:
     return matching.psi_tilde(G).value
 
 
-def _first_violation(tables: MatchTables, m_mask: int, members: list[int]) -> tuple[int, int] | None:
-    """Positions (i, j), j < i, of the first member whose distinguished facet
-    lies inside an earlier member, j being the earliest such; None if none.
-
-    Members must be k-subsets of M.  A k-subset of M contains the facet t
-    exactly when it is t plus one element of M outside t, so each member
-    looks up at most n candidates among the earlier ones.
-    """
-    tilde = tables.psi_tilde
-    position: dict[int, int] = {}
-    for i, g in enumerate(members):
-        t = tilde[g]
-        rest = m_mask & ~t
-        hit = None
-        while rest:
-            low = rest & -rest
-            j = position.get(t | low)
-            if j is not None and (hit is None or j < hit):
-                hit = j
-            rest ^= low
-        if hit is not None:
-            return i, hit
-        position.setdefault(g, i)
-    return None
-
-
 def triangle_check(family: ContributionFamily) -> TriangleReport:
     """Each member's distinguished facet must avoid all earlier members.
 
     Members are taken in the order given (canonical families are already
     ascending in squashed order); the first offending member is reported
-    with the earliest member containing its facet.
+    with the earliest member containing its facet.  A k-subset of M contains
+    the facet t exactly when it is t plus one element of M outside t, so
+    each member looks up at most n candidates among the earlier ones.
     """
     M, k = family.M, family.k
     for member in family.members:
         G = member.G
         if k < 1 or G.n != M.n or len(G) != k or not G.elements <= M.elements:
             raise ValueError(f"family member {G} is not a non-empty {k}-subset of {M}")
-    masks = [member.G.mask for member in family.members]
-    bad = _first_violation(match_tables(M.n), M.mask, masks)
-    if bad is None:
-        return TriangleReport(True)
-    i, j = bad
-    return TriangleReport(False, (family.members[i].G, family.members[j].G))
+    tilde = match_tables(M.n).psi_tilde
+    position: dict[int, int] = {}
+    for i, member in enumerate(family.members):
+        t = tilde[member.G.mask]
+        rest = M.mask & ~t
+        hits = []
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if t | low in position:
+                hits.append(position[t | low])
+        if hits:
+            return TriangleReport(False, (member.G, family.members[min(hits)].G))
+        position.setdefault(member.G.mask, i)
+    return TriangleReport(True)
 
 
 def sign_matrix(family: ContributionFamily) -> list[list[int]]:
@@ -340,6 +327,11 @@ def _box_hilbert(n: int, k: int, pairs: list[tuple[int, int]], box_depth: int) -
     return _close_hilbert(rep, "box", checked)
 
 
+def _by_support(n: int, by_size: list[int]) -> Iterator[int]:
+    """``by_size[|M|]`` at every support mask M over {1..n}, in mask order."""
+    return map(by_size.__getitem__, map(int.bit_count, range(1 << n)))
+
+
 def _squarefree_hilbert(n: int, k: int, counts: list[int]) -> Report:
     """The squarefree identity, given the number of contributing summands
     per support mask."""
@@ -348,12 +340,9 @@ def _squarefree_hilbert(n: int, k: int, counts: list[int]) -> Report:
     by_size = [0] + [
         dim_oracle(n, k, Multidegree(n, [1] * s + [0] * (n - s))) for s in range(1, n + 1)
     ]
-    sizes = [0]
-    for _ in range(n):
-        sizes += [s + 1 for s in sizes]
-    if counts != list(map(by_size.__getitem__, sizes)):
+    if any(map(ne, counts, _by_support(n, by_size))):
         for m_mask in range(1, 1 << n):
-            got, expect = counts[m_mask], by_size[sizes[m_mask]]
+            got, expect = counts[m_mask], by_size[m_mask.bit_count()]
             if got != expect:
                 rep.fail(
                     f"support {Subset.from_mask(n, m_mask)}: "
@@ -475,15 +464,16 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     """Full verification of the decomposition for one (n, k).
 
     The two forms of every family must agree, or this raises: then each
-    support's family is its k-subsets of even index.  Two checks visit no
-    support: the squarefree Hilbert identity (one oracle call per support
-    size) and the triangle condition by pairs; with dimensions
-    C(|M|-1, k-1) they also fix every family's size.  If one fails, each
-    support of size at least k names its size and first triangle failure.
-    Rank (by default for n <= 13) is checked per support: mod 2, with
-    Bareiss where that fails.  Below the range guard an undefined
-    construction alone fails the report.  The depth conclusion cites the
-    upper bound rather than verifying it.
+    support's family is its k-subsets of even index, and its size is the
+    support's summand count.  One subset-sum transform gives every count;
+    the squarefree Hilbert identity compares them with the dimension oracle
+    (one call per support size), the family sizes with C(|M|-1, k-1).  The
+    triangle condition is decided by pairs of k-subsets, and each violating
+    pair is named with its least witness support.  None of these visits a
+    support; only rank does (by default for n <= 13): mod 2, with Bareiss
+    where that fails.  Below the range guard an undefined construction
+    alone fails the report.  The depth conclusion cites the upper bound
+    rather than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
@@ -506,48 +496,32 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
-    # a family's size is its support's count, and the Hilbert check made
-    # that count the same across each support size
-    per_support = not (
-        hilbert.passed
-        and all(counts[(1 << s) - 1] == comb(s - 1, k - 1) for s in range(k, n + 1))
-        and next(triangle_pairs(n, k), None) is None
-    )
-    supports = sum(comb(n, s) for s in range(k, n + 1))
-    size_mismatches = 0
+    # the counts below size k are 0, as C(|M|-1, k-1) is there
+    family_sizes = [0] + [comb(s - 1, k - 1) for s in range(1, n + 1)]
+    size_mismatches = sum(map(ne, counts, _by_support(n, family_sizes)))
+    rep.passed &= not size_mismatches
     triangle_violations = 0
+    for g, h, r in triangle_pairs(n, k):
+        triangle_violations += 1
+        G, H, R = (Subset.from_mask(n, mask) for mask in (g, h, r))
+        rep.fail(f"support {R}: distinguished facet of {G} lies inside earlier {H}")
+
+    supports = sum(comb(n, s) for s in range(k, n + 1))
     rank_checked = 0
     rank_failures = 0
     table = k_subset_table(n, k)
-    for m_mask in range(1, 1 << n) if per_support or check_rank else ():
+    for m_mask in range(1, 1 << n) if check_rank else ():
         if m_mask.bit_count() < k:
             continue
         members = even_members(table, m_mask, k)
-        if per_support:
-            expect = comb(m_mask.bit_count() - 1, k - 1)
-            if len(members) != expect:
-                size_mismatches += 1
-                rep.fail(
-                    f"support {Subset.from_mask(n, m_mask)}: family size {len(members)} "
-                    f"!= C(|M|-1,k-1) = {expect}"
-                )
-            violation = _first_violation(match_tables(n), m_mask, [g for g, _ in members])
-            if violation is not None:
-                triangle_violations += 1
-                g_bad, h_bad = (Subset.from_mask(n, members[i][0]) for i in violation)
-                rep.fail(
-                    f"support {Subset.from_mask(n, m_mask)}: distinguished facet of "
-                    f"{g_bad} lies inside earlier {h_bad}"
-                )
-        if check_rank:
-            rank_checked += 1
-            # an odd maximal minor is a non-zero integer, so full rank mod 2
-            # is full rank over Q; only a deficiency mod 2 needs Bareiss
-            if not rank_full_mod2(facet_rows(m_mask, k, [g for g, _ in members])):
-                family = _family_from_masks(Subset.from_mask(n, m_mask), k, members)
-                if not rank_full(sign_matrix(family)):
-                    rank_failures += 1
-                    rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
+        rank_checked += 1
+        # an odd maximal minor is a non-zero integer, so full rank mod 2
+        # is full rank over Q; only a deficiency mod 2 needs Bareiss
+        if not rank_full_mod2(facet_rows(m_mask, k, [g for g, _ in members])):
+            family = _family_from_masks(Subset.from_mask(n, m_mask), k, members)
+            if not rank_full(sign_matrix(family)):
+                rank_failures += 1
+                rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
 
     rep.counts["summands"] = len(script)
     rep.counts["supports"] = supports

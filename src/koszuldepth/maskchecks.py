@@ -1,12 +1,13 @@
 """Verification kernels on masks, for :mod:`koszuldepth.decomposition`.
 
-The checks that let ``verify`` pass without visiting a support run on the
+The checks that let ``verify`` decide without visiting a support run on the
 upward chains of :func:`koszuldepth.bits.k_subset_table` (``even_stops``,
-``triangle_pairs``) and on one subset-sum transform
-(``contribution_counts``); the README states the lemmas behind them.  Once
-the two forms agree, a support's family is its parity form
-(``even_members``), which the rank check mod 2 (``facet_rows``,
-``rank_full_mod2``) and the naming of failures read per support.
+``triangle_pairs``, which also yields a witness support per violating pair)
+and on one subset-sum transform (``contribution_counts``, whose counts are
+also the family sizes); the README states the lemmas behind them.  Once the
+two forms agree, a support's family is its parity form (``even_members``),
+which only the rank check mod 2 (``facet_rows``, ``rank_full_mod2``) reads
+per support.
 """
 
 from __future__ import annotations
@@ -54,37 +55,43 @@ def even_stops(added: int) -> list[tuple[int, int]]:
     return out
 
 
-def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int]]:
-    """Every pair (g, h) of k-subsets such that on some support both have
-    even index and h, an earlier k-subset, contains g's distinguished facet.
+def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
+    """Every triple (g, h, r) of k-subsets g and h and a support r on which
+    both have even index and h, an earlier k-subset, contains g's
+    distinguished facet; one triple per such pair (g, h).
 
     h is the facet plus an element x of g's probe.  With chains a of g and
     b of h, the least witness of indices i and j is ``R = g | x | a_1..a_i |
     b_1..b_j``, which must lack a_{i+1} and b_{j+1} (README, "Checking
     without visiting supports").  Per even i: a_{i+1} is not x, and some
     even j < len(b) has b_{j+1} outside ``g | x | a_1..a_i`` and no earlier
-    b equal to a_{i+1}, or j = len(b) is even and b lacks a_{i+1}.
+    b equal to a_{i+1}, or j = len(b) is even and b lacks a_{i+1}.  r is R
+    for the first such i and the lowest such j.
     """
     table = k_subset_table(n, k)
-    odd = {g: odd_positions(added) for g, (added, _, _) in table.items()}
+    # per chain, the bits of b_{j+1} for even j; for an even j = len(b),
+    # past the chain's end, a bit above every element
+    odd = {
+        g: odd_positions(added) | (0 if added.bit_count() & 1 else 1 << n)
+        for g, (added, _, _) in table.items()
+    }
     for g, (added, t, probe) in table.items():
         stops = [(g | prefix, a) for prefix, a in even_stops(added)]
         while probe:
             x = probe & -probe
             probe ^= x
             h = t | x
-            b_added = table[h][0]
-            b_odd = odd[h]
+            b_added, b_odd = table[h][0], odd[h]
             for base, a in stops:
                 if a == x:
                     continue
-                free = b_odd & ~(base | x)
+                # the b_{j+1} that R lacks; with a_{i+1} in b's chain, only
+                # those up to it leave a_{i+1} out of b_1..b_j
+                hit = b_odd & ~(base | x)
                 if a & b_added:
-                    hit = free & ((a << 1) - 1)
-                else:
-                    hit = free or not b_added.bit_count() & 1
+                    hit &= (a << 1) - 1
                 if hit:
-                    yield g, h
+                    yield g, h, base | x | b_added & ((hit & -hit) - 1)
                     break
 
 

@@ -189,12 +189,13 @@ def naive_index_disagreements(tables) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def naive_facet(n: int, elements: set[int]) -> set[int]:
+def naive_facet(n: int, elements: set[int], pick=min) -> set[int]:
     """The distinguished facet: drop the first member where the height over
-    the members alone is largest."""
+    the members alone is largest (the last one with ``pick=max``, a producer
+    fault)."""
     heights, _, _, _ = naive_path(n, elements)
     top = max(heights[g] for g in elements)
-    return elements - {min(g for g in elements if heights[g] == top)}
+    return elements - {pick(g for g in elements if heights[g] == top)}
 
 
 def naive_triangle(family):
@@ -326,21 +327,44 @@ def naive_support_counts(n: int, script) -> list[int]:
     return counts
 
 
-def naive_violating_pairs(n: int, k: int) -> set[tuple[int, int]]:
-    """Every (G, H) mask pair that breaks the triangle condition on some
-    support M: both k-subsets of M of even index, H before G in squashed
-    order and holding G's distinguished facet."""
-    def mask(elements):
-        return sum(1 << (e - 1) for e in elements)
+def _mask(elements) -> int:
+    return sum(1 << (e - 1) for e in elements)
 
-    pairs = set()
+
+def _elements(n: int, mask: int) -> set[int]:
+    return {e for e in range(1, n + 1) if (mask >> (e - 1)) & 1}
+
+
+def naive_witness_holds(n: int, g: int, h: int, r: int, facet=naive_facet) -> bool:
+    """Whether support r shows (g, h) breaking the triangle condition: both
+    k-subsets of r with even index there, h before g in squashed order and
+    holding g's distinguished facet (as ``facet`` computes it)."""
+    G, H, R = (_elements(n, mask) for mask in (g, h, r))
+    return (
+        G <= R
+        and H <= R
+        and naive_index_up(n, G, R) % 2 == 0
+        and naive_index_up(n, H, R) % 2 == 0
+        and naive_squashed_precedes(H, G)
+        and facet(n, G) <= H
+    )
+
+
+def naive_least_witnesses(n: int, k: int, facet=naive_facet) -> dict[tuple[int, int], int]:
+    """Per (G, H) mask pair that breaks the triangle condition on some
+    support M (both k-subsets of M of even index, H before G in squashed
+    order and holding G's distinguished facet), the least such M: the
+    lowest index of G there, then the lowest index of H, then the fewest
+    elements."""
+    best: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     for M in all_element_sets(n):
-        members = [
-            set(G) for G in combinations(sorted(M), k) if naive_index_up(n, set(G), M) % 2 == 0
-        ]
+        index = {G: naive_index_up(n, set(G), M) for G in combinations(sorted(M), k)}
+        members = [set(G) for G, ind in index.items() if ind % 2 == 0]
         for G in members:
-            t = naive_facet(n, G)
+            t = facet(n, G)
             for H in members:
                 if t <= H and naive_squashed_precedes(H, G):
-                    pairs.add((mask(G), mask(H)))
-    return pairs
+                    pair = (_mask(G), _mask(H))
+                    key = (index[tuple(sorted(G))], index[tuple(sorted(H))], len(M), _mask(M))
+                    best[pair] = min(best.get(pair, key), key)
+    return {pair: key[-1] for pair, key in best.items()}

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from koszuldepth import decomposition
+from koszuldepth import cli, decomposition
 from koszuldepth.cli import main
 from koszuldepth.report import Report
 
@@ -319,6 +319,38 @@ def test_verify_json(capsys):
 def test_verify_jobs_flag(capsys):
     code, out, _ = run(capsys, "verify", "--all-n", "4", "--jobs", "2")
     assert code == 0 and "PASS" in out
+
+
+def test_verify_pool_never_exceeds_the_tasks(capsys, monkeypatch):
+    # the process pool forks all its workers at the first task, so --jobs W
+    # must start no more workers than there are tasks, and none for one task;
+    # the fake pool records its size and runs the tasks in this process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    expected = {}
+    for argv in (["7", "3"], ["--all-n", "3"], ["--all-n", "4"]):
+        expected[tuple(argv)] = run(capsys, "verify", *argv)
+    assert sizes == []
+    # (n, k) tasks: 1 for one pair, 3 up to n = 3, 5 up to n = 4
+    for argv, jobs, size in ((["7", "3"], 6, None), (["--all-n", "3"], 6, 3),
+                             (["--all-n", "4"], 6, 5), (["--all-n", "4"], 2, 2)):
+        assert run(capsys, "verify", *argv, "--jobs", str(jobs)) == expected[tuple(argv)]
+        assert sizes == ([] if size is None else [size])
+        sizes.clear()
 
 
 def test_check_commands(capsys):

@@ -43,8 +43,9 @@ from helpers import (
     naive_rank_mod2,
     naive_summands,
     naive_support_counts,
+    naive_least_witnesses,
     naive_triangle,
-    naive_violating_pairs,
+    naive_witness_holds,
     sympy_rank,
 )
 
@@ -329,36 +330,39 @@ def test_transform_counts_equal_generator_counts(n):
 def test_triangle_pairs_equal_per_support_enumeration(n):
     # no violating pair on the upper half, by either method
     for k in range(max(n // 2, 1), n):
-        assert list(triangle_pairs(n, k)) == []
-        assert naive_violating_pairs(n, k) == set()
+        got = list(triangle_pairs(n, k))
+        assert all(naive_witness_holds(n, g, h, r) for g, h, r in got)
+        assert got == []
+        assert naive_least_witnesses(n, k) == {}
 
 
 @pytest.mark.parametrize("n, k", [(9, 4), (10, 5)])
 def test_verify_stanley_passes_without_the_pass_per_support(monkeypatch, n, k):
-    calls = {"even_members": 0, "_first_violation": 0}
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(decomposition, name, counting(name, getattr(decomposition, name)))
+    calls = []
+    members = decomposition.even_members
+    monkeypatch.setattr(
+        decomposition, "even_members", lambda *args: calls.append(args) or members(*args)
+    )
     supports = sum(comb(n, s) for s in range(k, n + 1))
     # a PASS visits no support unless rank is checked, and rank reads only
     # the members
-    for check_rank, members in ((False, 0), (True, supports)):
-        calls.update(even_members=0, _first_violation=0)
+    for check_rank, visits in ((False, 0), (True, supports)):
+        calls.clear()
         rep = verify_stanley(n, k, check_rank=check_rank)
         assert rep.passed and rep.counts["supports"] == supports
-        assert calls == {"even_members": members, "_first_violation": 0}
-    # any support-free check that fails sends verify through every support,
-    # here to find no violation after all
-    monkeypatch.setattr(decomposition, "triangle_pairs", lambda n_, k_: iter([(1, 2)]))
-    calls.update(even_members=0, _first_violation=0)
+        assert len(calls) == visits
+    # a violating pair fails the report by itself, named with its witness
+    # support, and still no support is visited
+    g, h, r = (S(n, e).mask for e in ([2, 4, 5, 7], [1, 4, 5, 7], [1, 2, 4, 5, 7]))
+    monkeypatch.setattr(decomposition, "triangle_pairs", lambda n_, k_: iter([(g, h, r)]))
+    calls.clear()
     rep = verify_stanley(n, k, check_rank=False)
-    assert rep.passed and calls["_first_violation"] == rep.counts["supports"] == supports
+    assert not rep.passed and calls == []
+    assert rep.counts["triangle_violations"] == 1
+    assert "triangle condition (squashed order): 1 violations" in rep.lines
+    assert rep.failures == [
+        "support {1,2,4,5,7}: distinguished facet of {2,4,5,7} lies inside earlier {1,4,5,7}"
+    ]
 
 
 def test_triangle_worked_example_and_trivia():

@@ -1,22 +1,25 @@
 """Negative controls: below the range guard the theorem fails, and so must
-every verification layer.
+every verification layer; a fault in a producer that looks right must fail
+the check that reads what it produced.
 
 The guard is bypassed by monkeypatching ``decomposition.require_upper_half``;
 no command-line path reaches these sizes.  At k = n/2 - 1 the construction
-still builds, and the Hilbert identity, family size, triangle and rank
-checks each flag the same supports.  Further below, the downward matching
-runs out before size k, and ``verify_stanley`` reports that as one failure
-instead of crashing.
+still builds: the Hilbert identity, family size and rank checks each flag
+the same supports, and the triangle check names each violating pair with
+its least witness support.  Further below, the downward matching runs out
+before size k, and ``verify_stanley`` reports that as one failure instead
+of crashing.  On the upper half, a distinguished facet that deletes the last
+peak over the members instead of the first breaks the triangle condition
+and nothing else.
 """
 
 from itertools import product
 
 import pytest
 
-from koszuldepth import decomposition
+from koszuldepth import bits, checks, decomposition
 from koszuldepth.decomposition import (
     build_decomposition,
-    contribution_family,
     verify_hilbert,
     verify_stanley,
 )
@@ -24,12 +27,22 @@ from koszuldepth.koszul import Multidegree, dim_oracle
 from koszuldepth.maskchecks import contribution_counts, triangle_pairs
 from koszuldepth.subsets import Subset
 
-from helpers import naive_contributes, naive_support_counts, naive_triangle, naive_violating_pairs
+from helpers import (
+    naive_contributes,
+    naive_facet,
+    naive_least_witnesses,
+    naive_support_counts,
+    naive_witness_holds,
+)
 
 
 @pytest.fixture
 def unguarded(monkeypatch):
     monkeypatch.setattr(decomposition, "require_upper_half", lambda n, k: None)
+
+
+# violating pairs just below the guard, one triangle line each
+_PAIRS = {(4, 1): 4, (6, 2): 12, (8, 3): 39}
 
 
 @pytest.mark.parametrize(
@@ -39,25 +52,32 @@ def unguarded(monkeypatch):
 def test_every_layer_fails_just_below_the_guard(
     unguarded, n, k, hilbert_supports, supports, failing
 ):
+    pairs = _PAIRS[n, k]
     rep = verify_stanley(n, k, check_rank=True)
     assert not rep.passed
     assert rep.counts["hilbert_supports"] == hilbert_supports
     assert rep.counts["supports"] == rep.counts["rank_checked"] == supports
-    layers = ("hilbert_failures", "family_size_mismatches", "triangle_violations", "rank_failures")
-    for key in layers:
+    for key in ("hilbert_failures", "family_size_mismatches", "rank_failures"):
         assert rep.counts[key] == failing, key
-    assert len(rep.failures) == 4 * failing
+    assert rep.counts["triangle_violations"] == pairs
+    assert len(rep.failures) == 2 * failing + pairs
     assert rep.text().endswith(f"FAIL stanley decomposition n={n} k={k}")
-    # the whole report, to pin the order of the lines per support: every
-    # Hilbert failure first, then per support its size, triangle and rank lines
+    # the whole report, to pin the order of the lines: every Hilbert
+    # failure, then every violating pair, then every rank failure
     if (n, k) == (4, 1):
-        expected = _below_guard_failures(_FAILING_4_1, rank=True)
+        assert _triangle_lines(n, k) == [
+            "support {1,3,4}: distinguished facet of {3} lies inside earlier {1}",
+            "support {2,3,4}: distinguished facet of {3} lies inside earlier {2}",
+            "support {2,4}: distinguished facet of {4} lies inside earlier {2}",
+            "support {3,4}: distinguished facet of {4} lies inside earlier {3}",
+        ]
+        expected = _below_guard_failures(n, k, _FAILING_4_1, rank=True)
         assert rep.to_json() == {
             "name": "stanley decomposition n=4 k=1",
             "passed": False,
             "counts": {
                 "hilbert_supports": 15, "hilbert_failures": 6, "summands": 8, "supports": 15,
-                "triangle_violations": 6, "family_size_mismatches": 6, "rank_checked": 15,
+                "triangle_violations": 4, "family_size_mismatches": 6, "rank_checked": 15,
                 "rank_failures": 6, "min_Z": 3,
             },
             "failures": expected,
@@ -66,66 +86,73 @@ def test_every_layer_fails_just_below_the_guard(
             "stanley decomposition of M(4,1): 8 summands",
             "hilbert identity (squarefree): 15 degrees checked, 6 failures",
             "families: 15 supports, sizes MISMATCHED, two-form agreement held",
-            "triangle condition (squashed order): 6 violations",
+            "triangle condition (squashed order): 4 violations",
             "exact rank: 15 sign matrices, 6 rank deficient",
             "depth: |Z| sizes [3, 4], minimum 3 = n-1 attained by 5 summands",
         ]
         assert rep.lines == lines
         assert rep.text() == "\n".join(
             lines
-            + [f"counterexample: {f}" for f in expected[:20]]
-            + ["... and 4 more counterexamples", "FAIL stanley decomposition n=4 k=1"]
+            + [f"counterexample: {f}" for f in expected]
+            + ["FAIL stanley decomposition n=4 k=1"]
         )
     if (n, k) == (6, 2):
         rep = verify_stanley(n, k, check_rank=False)
-        assert rep.failures == _below_guard_failures(_FAILING_6_2, rank=False)
+        assert rep.failures == _below_guard_failures(n, k, _FAILING_6_2, rank=False)
 
 
-# per failing support: summands there (also its family size), dimension
-# (also C(|M|-1,k-1)), the member whose facet is hit and the earlier member
+# per failing support: summands there (the transform count, also its family
+# size) and the dimension (also C(|M|-1,k-1))
 _FAILING_4_1 = [
-    ("{2,4}", 2, 1, "{4}", "{2}"),
-    ("{1,2,4}", 2, 1, "{4}", "{2}"),
-    ("{3,4}", 2, 1, "{4}", "{3}"),
-    ("{1,3,4}", 2, 1, "{3}", "{1}"),
-    ("{2,3,4}", 3, 1, "{3}", "{2}"),
-    ("{1,2,3,4}", 3, 1, "{3}", "{2}"),
+    ("{2,4}", 2, 1),
+    ("{1,2,4}", 2, 1),
+    ("{3,4}", 2, 1),
+    ("{1,3,4}", 2, 1),
+    ("{2,3,4}", 3, 1),
+    ("{1,2,3,4}", 3, 1),
 ]
 _FAILING_6_2 = [
-    ("{2,4,6}", 3, 2, "{4,6}", "{2,6}"),
-    ("{1,2,4,6}", 4, 3, "{4,6}", "{2,6}"),
-    ("{3,4,6}", 3, 2, "{4,6}", "{3,6}"),
-    ("{1,3,4,6}", 4, 3, "{3,6}", "{1,6}"),
-    ("{2,3,4,6}", 5, 3, "{3,6}", "{2,6}"),
-    ("{1,2,3,4,6}", 6, 4, "{3,6}", "{2,6}"),
-    ("{2,5,6}", 3, 2, "{5,6}", "{2,5}"),
-    ("{1,2,5,6}", 4, 3, "{5,6}", "{2,5}"),
-    ("{3,5,6}", 3, 2, "{5,6}", "{3,5}"),
-    ("{1,3,5,6}", 4, 3, "{3,5}", "{1,5}"),
-    ("{2,3,5,6}", 5, 3, "{3,5}", "{2,5}"),
-    ("{1,2,3,5,6}", 6, 4, "{3,5}", "{2,5}"),
-    ("{4,5,6}", 3, 2, "{5,6}", "{4,5}"),
-    ("{1,4,5,6}", 4, 3, "{4,5}", "{1,4}"),
-    ("{2,4,5,6}", 6, 3, "{4,5}", "{2,4}"),
-    ("{1,2,4,5,6}", 7, 4, "{4,5}", "{2,4}"),
-    ("{3,4,5,6}", 6, 3, "{4,5}", "{3,4}"),
-    ("{1,3,4,5,6}", 7, 4, "{3,5}", "{1,5}"),
-    ("{2,3,4,5,6}", 9, 4, "{3,5}", "{2,5}"),
-    ("{1,2,3,4,5,6}", 10, 5, "{3,5}", "{2,5}"),
+    ("{2,4,6}", 3, 2),
+    ("{1,2,4,6}", 4, 3),
+    ("{3,4,6}", 3, 2),
+    ("{1,3,4,6}", 4, 3),
+    ("{2,3,4,6}", 5, 3),
+    ("{1,2,3,4,6}", 6, 4),
+    ("{2,5,6}", 3, 2),
+    ("{1,2,5,6}", 4, 3),
+    ("{3,5,6}", 3, 2),
+    ("{1,3,5,6}", 4, 3),
+    ("{2,3,5,6}", 5, 3),
+    ("{1,2,3,5,6}", 6, 4),
+    ("{4,5,6}", 3, 2),
+    ("{1,4,5,6}", 4, 3),
+    ("{2,4,5,6}", 6, 3),
+    ("{1,2,4,5,6}", 7, 4),
+    ("{3,4,5,6}", 6, 3),
+    ("{1,3,4,5,6}", 7, 4),
+    ("{2,3,4,5,6}", 9, 4),
+    ("{1,2,3,4,5,6}", 10, 5),
 ]
 
 
-def _below_guard_failures(rows, rank):
-    per_support = [
-        [
-            f"support {M}: family size {got} != C(|M|-1,k-1) = {dim}",
-            f"support {M}: distinguished facet of {g} lies inside earlier {h}",
-        ] + ([f"support {M}: sign matrix rank deficient"] if rank else [])
-        for M, got, dim, g, h in rows
+def _triangle_lines(n, k, facet=naive_facet):
+    """The triangle failure lines, from the first-principles enumeration of
+    every support: per violating pair, by G then H, its least witness."""
+    def text(mask):
+        return str(Subset.from_mask(n, mask))
+
+    return [
+        f"support {text(r)}: distinguished facet of {text(g)} lies inside earlier {text(h)}"
+        for (g, h), r in sorted(naive_least_witnesses(n, k, facet).items())
     ]
-    return [f"support {M}: {got} summands vs dimension {dim}" for M, got, dim, _, _ in rows] + [
-        line for lines in per_support for line in lines
-    ]
+
+
+def _below_guard_failures(n, k, rows, rank):
+    return (
+        [f"support {M}: {got} summands vs dimension {dim}" for M, got, dim in rows]
+        + _triangle_lines(n, k)
+        + ([f"support {M}: sign matrix rank deficient" for M, _, _ in rows] if rank else [])
+    )
 
 
 @pytest.mark.parametrize("n, k, failing", [(4, 1, 6), (6, 2, 20), (8, 3, 70), (10, 4, 252)])
@@ -144,11 +171,13 @@ def test_transform_counts_below_the_guard(unguarded, n, k, failing):
 )
 def test_triangle_pairs_below_the_guard(n, k, pairs):
     # the pair test finds exactly the pairs that violate the triangle
-    # condition on some support, each once, also where the construction is
-    # undefined ((5,1), (7,2)): it reads only the upward chains
+    # condition on some support, each once with a support that shows it,
+    # the least one, also where the construction is undefined ((5,1),
+    # (7,2)): it reads only the upward chains
     got = list(triangle_pairs(n, k))
-    assert len(got) == len(set(got)) == pairs
-    assert set(got) == naive_violating_pairs(n, k)
+    assert len(got) == len({(g, h) for g, h, _ in got}) == pairs
+    assert all(naive_witness_holds(n, g, h, r) for g, h, r in got)
+    assert {(g, h): r for g, h, r in got} == naive_least_witnesses(n, k)
 
 
 @pytest.mark.parametrize("n, k, failing", [(4, 1, 48), (6, 2, 408)])
@@ -169,22 +198,13 @@ def test_box_check_fails_just_below_the_guard(unguarded, n, k, failing):
     assert rep.failures == expected
 
 
-def test_triangle_lines_name_the_first_violation(unguarded):
-    # each triangle line must be the pair the quadratic search on element
-    # sets finds on the support's canonical family, in support order
-    n, k = 6, 2
-    expected = []
-    for m_mask in range(1, 1 << n):
-        if m_mask.bit_count() < k:
-            continue
-        M = Subset.from_mask(n, m_mask)
-        bad = naive_triangle(contribution_family(n, k, M))
-        if bad is not None:
-            g, h = bad
-            expected.append(f"support {M}: distinguished facet of {g} lies inside earlier {h}")
-    got = [f for f in verify_stanley(n, k, check_rank=False).failures if "distinguished facet" in f]
-    assert len(expected) == 20
-    assert got == expected
+def test_triangle_lines_name_each_violating_pair(unguarded):
+    # one triangle line per violating pair, with its least witness support,
+    # as the enumeration of every support's even-index members finds them
+    for n, k in ((6, 2), (8, 3)):
+        got = [f for f in verify_stanley(n, k, check_rank=False).failures if "distinguished facet" in f]
+        assert len(got) == _PAIRS[n, k]
+        assert got == _triangle_lines(n, k)
 
 
 @pytest.mark.parametrize(
@@ -201,3 +221,61 @@ def test_undefined_construction_is_a_structured_failure(unguarded, n, k, mask):
     message = f"downward matching undefined below mask {mask.mask:#x}"
     with pytest.raises(RuntimeError, match=message):
         build_decomposition(n, k)
+
+
+def _last_pivot_scan(n, mask):
+    """``bits.scan`` with the producer fault: the pivot is the last member
+    where the height over the members alone peaks, not the first."""
+    nu, mu, _ = _real_scan(n, mask)
+    height, top, pivot = 0, -n - 1, 0
+    for pos in range(1, n + 1):
+        if (mask >> (pos - 1)) & 1:
+            height += 1
+            if height >= top:
+                top, pivot = height, pos
+        else:
+            height -= 1
+    return nu, mu, pivot
+
+
+_real_scan = bits.scan
+_CACHES = (bits.match_tables, bits.k_subset_table, decomposition._script, decomposition._two_forms_agree)
+
+
+@pytest.fixture
+def last_pivot(monkeypatch):
+    monkeypatch.setattr(bits, "scan", _last_pivot_scan)
+    for cache in _CACHES:
+        cache.cache_clear()
+    yield
+    # no faulted table may outlive the patch
+    for cache in _CACHES:
+        cache.cache_clear()
+
+
+def _last_facet(n, elements):
+    return naive_facet(n, elements, pick=max)
+
+
+@pytest.mark.parametrize("n, k, pairs", [(6, 3, 7), (8, 4, 38), (9, 5, 84), (10, 5, 187)])
+def test_last_pivot_fails_the_triangle_alone(last_pivot, n, k, pairs):
+    # psi and phi are untouched, so the script, its counts and every sign
+    # matrix are too; only the facets move, and the triangle check fails on
+    # the upper half, each pair named with a support that shows it
+    rep = verify_stanley(n, k, check_rank=True)
+    assert not rep.passed
+    assert rep.counts["rank_checked"] == rep.counts["supports"]
+    for key in ("hilbert_failures", "family_size_mismatches", "rank_failures"):
+        assert rep.counts[key] == 0, key
+    assert rep.counts["triangle_violations"] == len(rep.failures) == pairs
+    got = list(triangle_pairs(n, k))
+    assert all(naive_witness_holds(n, g, h, r, _last_facet) for g, h, r in got)
+    if n <= 8:
+        assert rep.failures == _triangle_lines(n, k, _last_facet)
+
+
+def test_no_matching_suite_sees_the_last_pivot(last_pivot):
+    # the matching laws read psi and phi only, so they pass under the fault
+    for check in (checks.check_inverse_law, checks.check_index_equivalence,
+                  checks.check_greedy_agreement):
+        assert check(8).passed
