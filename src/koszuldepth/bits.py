@@ -1,12 +1,17 @@
-"""The integer-mask engine: the peak scan, matching tables and submask walks.
+"""The integer-mask engine: the peak scan, the chains, matching tables and
+submask walks.
 
 Bit e-1 encodes element e, so on a fixed cardinality level the squashed
 order is plain integer order on masks.  ``scan`` is the one place where the
-peaks of a lattice path are found: ``match_tables`` runs it on every mask,
-and the subset-level maps in :mod:`koszuldepth.matching` run it on one.
-The tables are cached for the last ``n`` (and ``k``) only: ``verify
---all-n`` hands its tasks out in increasing (n, k) order, so no process
-comes back to an earlier size, and a larger cache only holds memory.
+peaks of a lattice path are found: ``match_tables`` runs it on every mask
+(for the matching-law sweeps of ``check-matching``), and the subset-level
+maps in :mod:`koszuldepth.matching` and the k-subset table run it on one.
+``chain_insertions`` reads a whole upward chain off one path by its closed
+form, so the k-subset table, and everything ``verify`` runs on, needs no
+table over the 2^n masks.  The tables are cached for the last ``n`` (and
+``k``) only: ``verify --all-n`` hands its tasks out in increasing (n, k)
+order, so no process comes back to an earlier size, and a larger cache only
+holds memory.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ class MatchTables:
     n: int
     psi: tuple[int | None, ...]
     phi: tuple[int | None, ...]
-    psi_tilde: tuple[int | None, ...]
 
 
 def scan(n: int, mask: int) -> tuple[int, int, int]:
@@ -56,22 +60,43 @@ def scan(n: int, mask: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=1)
 def match_tables(n: int) -> MatchTables:
-    """``psi``, ``phi`` and ``psi_tilde`` of every mask over {1..n}, by one
-    ``scan`` per mask."""
+    """``psi`` and ``phi`` of every mask over {1..n}, by one ``scan`` per
+    mask."""
     check_ground(n)
     size = 1 << n
     psi_t: list[int | None] = [None] * size
     phi_t: list[int | None] = [None] * size
-    tilde_t: list[int | None] = [None] * size
     for mask in range(size):
-        nu, mu, pivot = scan(n, mask)
+        nu, mu, _ = scan(n, mask)
         if nu:
             psi_t[mask] = mask ^ (1 << (nu - 1))
         if mu != n:
             phi_t[mask] = mask | (1 << mu)
-        if pivot:
-            tilde_t[mask] = mask ^ (1 << (pivot - 1))
-    return MatchTables(n, tuple(psi_t), tuple(phi_t), tuple(tilde_t))
+    return MatchTables(n, tuple(psi_t), tuple(phi_t))
+
+
+def chain_insertions(n: int, g: int) -> int:
+    """The elements that the upward chain phi(g), phi^2(g), ... inserts, as a
+    mask: the non-members p of g whose height h(p) on g's lattice path is at
+    least h(q) for every q > p (README, "The chain lemma").
+
+    One right-to-left pass, from h(n) = 2|g| - n, keeps the largest height
+    seen so far.
+    """
+    height = 2 * g.bit_count() - n
+    best = -n - 1
+    added = 0
+    for pos in range(n - 1, -1, -1):
+        if (g >> pos) & 1:
+            if height > best:
+                best = height
+            height -= 1
+        else:
+            if height >= best:
+                best = height
+                added |= 1 << pos
+            height += 1
+    return added
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -110,27 +135,18 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
 
 @lru_cache(maxsize=1)
 def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
-    """Per k-subset g over {1..n}: ``(added, facet, probe)``.
+    """Per k-subset g over {1..n}, k >= 1: ``(added, facet, probe)``.
 
-    ``added`` is the set of elements the upward chain phi(g), phi^2(g), ...
-    inserts.  phi inserts the successor of the last peak, and the inserted
-    element is a peak of the result, so the next insertion lies above it:
-    the chain inserts its elements in increasing order, and ``added`` fixes
-    every chain mask.  ``facet`` is the distinguished facet psi_tilde(g);
-    ``probe`` holds the elements outside g below the pivot that psi_tilde
-    deletes.
+    ``added`` is :func:`chain_insertions`.  The chain inserts its elements
+    in increasing order, so ``added`` fixes every chain mask.  ``facet`` is
+    the distinguished facet psi_tilde(g), g without the pivot of
+    :func:`scan`; ``probe`` holds the elements outside g below that pivot.
     """
-    tables = match_tables(n)
-    phi_t, tilde_t = tables.phi, tables.psi_tilde
+    check_ground(n)
     out = {}
     for g in sized_submasks((1 << n) - 1, k):
-        top = g
-        while (nxt := phi_t[top]) is not None:
-            assert nxt ^ top > top ^ g, "upward chain inserted below an earlier insertion"
-            top = nxt
-        t = tilde_t[g]
-        below = (1 << ((g ^ t).bit_length() - 1)) - 1
-        out[g] = (top ^ g, t, below & ~g)
+        pivot = 1 << (scan(n, g)[2] - 1)
+        out[g] = (chain_insertions(n, g), g ^ pivot, (pivot - 1) & ~g)
     return out
 
 

@@ -4,11 +4,11 @@ For floor(n/2) <= k < n the k-th syzygy module of the residue field splits,
 as a graded vector space, into one summand per subset S of even distance
 above cardinality k.  Each summand is a polynomial subring (all variables,
 or all but the one the matching would delete) times a fixed generator of
-multidegree S.  This module builds that family and checks everything it
-claims: the dimension count per multidegree, the agreement of the two
-descriptions of the contributing generators, the squashed-order triangle
-condition, exact linear independence, and the per-pair index increment the
-triangle argument rests on.
+multidegree S.  This module builds that family from the upward chains of
+the k-subsets, its one producer, and checks everything it claims: the
+dimension count per multidegree, the squashed-order triangle condition,
+exact linear independence, and the per-pair index increment the triangle
+argument rests on.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from operator import ne
 from typing import Iterator
 
 from . import matching
-# phi_index and lattice_path are unused here, but the benchmark tracer wraps
-# this module's bindings
-from .bits import MatchTables, chain_index, k_subset_table, match_tables, phi_index, sized_submasks
+# match_tables, phi_index and lattice_path are unused here, but the benchmark
+# tracer wraps this module's bindings
+from .bits import chain_index, k_subset_table, match_tables, phi_index, sized_submasks
 from .maskchecks import (
     contribution_counts, even_members, even_stops, facet_rows, rank_full_mod2, triangle_pairs
 )
@@ -120,57 +120,30 @@ def _contributes(s: int, z: int, support: int, repeated: int) -> bool:
     return not s & ~support and not (support & ~s | s & repeated) & ~z
 
 
-class UndefinedScript(RuntimeError):
-    """The downward matching runs out before a summand's generator reaches
-    size k; this happens only below the range guard."""
-
-    def __init__(self, mask: int) -> None:
-        super().__init__(f"downward matching undefined below mask {mask:#x}")
-        self.mask = mask
-
-
-# like the bits tables, the script and its two-form check are cached for the
-# last (n, k) only
+# like the bits tables, the script is cached for the last (n, k) only
 @lru_cache(maxsize=1)
 def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
-    """(S mask, removed element, G mask) per summand, in (level, squashed) order."""
-    tables = match_tables(n)
-    out = []
-    for size in range(k, n + 1, 2):
-        for s_mask in sized_submasks((1 << n) - 1, size):
-            up = tables.phi[s_mask]
-            removed = None if up is None else (up ^ s_mask).bit_length()
-            g_mask = s_mask
-            for _ in range(size - k):
-                nxt = tables.psi[g_mask]
-                if nxt is None:
-                    raise UndefinedScript(s_mask)
-                g_mask = nxt
-            out.append((s_mask, removed, g_mask))
-    return tuple(out)
+    """(S mask, removed element, G mask) per summand, in (level, squashed) order.
+
+    Each k-subset G, with upward chain a_1 < a_2 < ..., generates the
+    summands (G | a_1..a_j, removed a_{j+1}) for even j, nothing removed past
+    the chain's end.  At every support the generators are then the k-subsets
+    of even index, each once (README, lemma 1).  On the upper half this is
+    the paper's G(S) = psi^(|S|-k)(S) with the variable phi(S) inserts
+    removed: S lies on the chain of G, and psi inverts phi.
+    """
+    rows = [
+        (g | prefix, a.bit_length() or None, g)
+        for g, (added, _, _) in k_subset_table(n, k).items()
+        for prefix, a in even_stops(added)
+    ]
+    rows.sort(key=lambda row: (row[0].bit_count(), row[0]))
+    return tuple(rows)
 
 
 def _z_mask(n: int, removed: int | None) -> int:
     full = (1 << n) - 1
     return full if removed is None else full & ~(1 << (removed - 1))
-
-
-@lru_cache(maxsize=1)
-def _two_forms_agree(n: int, k: int) -> None:
-    """Raise unless each k-subset G, with upward chain a_1 < a_2 < ...,
-    generates exactly the summands (G | a_1..a_j, a_{j+1}) of :func:`_script`
-    for even j, in script order, no a_{j+1} past the chain's end.  Then at
-    every support the generators are the k-subsets of even index, each once:
-    the index is the one j that fits."""
-    groups: dict[int, list] = {}
-    for summand in _script(n, k):
-        groups.setdefault(summand[2], []).append(summand)
-    table = k_subset_table(n, k)
-    if len(groups) != len(table) or not all(
-        groups.get(g) == [(g | prefix, a.bit_length() or None, g) for prefix, a in even_stops(added)]
-        for g, (added, _, _) in table.items()
-    ):
-        raise RuntimeError(f"summand-based and parity-based families disagree at n={n} k={k}")
 
 
 def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
@@ -182,14 +155,13 @@ def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> Con
 
 
 def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
-    """The family of support M: its k-subsets of even index, ascending.
-    Raises unless the two forms of every family agree (:func:`_two_forms_agree`)."""
+    """The family of support M: its k-subsets of even index, ascending, which
+    are exactly the generators of the summands meeting M (README, lemma 1)."""
     require_upper_half(n, k)
     if M.n != n:
         raise ValueError(f"support over n={M.n}, expected {n}")
     if len(M) < k:
         raise ValueError(f"support {M} has fewer than k={k} elements")
-    _two_forms_agree(n, k)
     return _family_from_masks(M, k, even_members(k_subset_table(n, k), M.mask, k))
 
 
@@ -212,10 +184,10 @@ def triangle_check(family: ContributionFamily) -> TriangleReport:
         G = member.G
         if k < 1 or G.n != M.n or len(G) != k or not G.elements <= M.elements:
             raise ValueError(f"family member {G} is not a non-empty {k}-subset of {M}")
-    tilde = match_tables(M.n).psi_tilde
+    table = k_subset_table(M.n, k)
     position: dict[int, int] = {}
     for i, member in enumerate(family.members):
-        t = tilde[member.G.mask]
+        t = table[member.G.mask][1]
         rest = M.mask & ~t
         hits = []
         while rest:
@@ -361,17 +333,19 @@ def _close_hilbert(rep: Report, mode: str, checked: int) -> Report:
     return rep
 
 
-def _admissible(tables: MatchTables, m: int, g: int, h: int) -> bool:
+def _admissible(table, n: int, m: int, g: int, h: int) -> bool:
     """Mask form of the admissibility of (M, G, H); see :func:`index_step_check`.
 
-    On equal sizes, squashed order is integer order on masks.
+    On equal sizes, squashed order is integer order on masks.  The facet of
+    g is read from ``table``, the k-subset table of g's size, only once g is
+    known to be non-empty.
     """
     return (
         not (g | h) & ~m
-        and g.bit_count() == h.bit_count() >= tables.n // 2
+        and g.bit_count() == h.bit_count() >= n // 2
         and g != 0
         and h < g
-        and not tables.psi_tilde[g] & ~h
+        and not table[g][1] & ~h
     )
 
 
@@ -407,11 +381,12 @@ def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
     """
     same_ground(M, G)
     same_ground(M, H)
-    tables = match_tables(M.n)
     m, g, h = M.mask, G.mask, H.mask
-    if not _admissible(tables, m, g, h):
+    # psi_tilde, and so the table, is defined on non-empty subsets only
+    table = k_subset_table(M.n, len(G)) if g else {}
+    if not _admissible(table, M.n, m, g, h):
         return StepCheck("skip")
-    case, ind_g, ind_h, expected = _index_step(k_subset_table(M.n, len(G)), m, g, h)
+    case, ind_g, ind_h, expected = _index_step(table, m, g, h)
     return StepCheck("pass" if ind_h == expected else "fail", case, ind_g, ind_h, expected)
 
 
@@ -423,7 +398,6 @@ def index_step_sweep(n: int) -> Report:
     pivot: the elements of M in G's probe.
     """
     rep = Report(f"index increment n={n}")
-    tables = match_tables(n)
     # fetched once: the table cache holds only the last (n, k)
     by_size = {size: k_subset_table(n, size) for size in range(max(n // 2, 1), n + 1)}
     by_case = {1: 0, 2: 0}
@@ -438,7 +412,7 @@ def index_step_sweep(n: int) -> Report:
                     low = rest & -rest
                     rest ^= low
                     h_mask = t_mask | low
-                    assert _admissible(tables, m_mask, g_mask, h_mask)
+                    assert _admissible(table, n, m_mask, g_mask, h_mask)
                     case, ind_g, ind_h, expected = _index_step(table, m_mask, g_mask, h_mask)
                     checked += 1
                     by_case[case] += 1
@@ -463,7 +437,7 @@ def index_step_sweep(n: int) -> Report:
 def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    The two forms of every family must agree, or this raises: then each
+    The script is built from the k-subsets' upward chains, so each
     support's family is its k-subsets of even index, and its size is the
     support's summand count.  One subset-sum transform gives every count;
     the squarefree Hilbert identity compares them with the dimension oracle
@@ -471,21 +445,14 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     triangle condition is decided by pairs of k-subsets, and each violating
     pair is named with its least witness support.  None of these visits a
     support; only rank does (by default for n <= 13): mod 2, with Bareiss
-    where that fails.  Below the range guard an undefined construction
-    alone fails the report.  The depth conclusion cites the upper bound
-    rather than verifying it.
+    where that fails.  The depth conclusion cites the upper bound rather
+    than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
         check_rank = n <= 13
     rep = Report(f"stanley decomposition n={n} k={k}")
-    try:
-        script = _script(n, k)
-    except UndefinedScript as err:
-        rep.lines.append(f"stanley decomposition of M({n},{k}): undefined, no later check run")
-        rep.fail(f"downward matching undefined below {Subset.from_mask(n, err.mask)}")
-        return rep
-    _two_forms_agree(n, k)
+    script = _script(n, k)
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
     counts = contribution_counts(n, script)
@@ -530,6 +497,8 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     rep.counts["rank_checked"] = rank_checked
     rep.counts["rank_failures"] = rank_failures
 
+    # the summand and parity forms of every family agree by construction
+    # (README, lemma 1)
     rep.lines.append(
         f"families: {supports} supports, sizes {'ok' if not size_mismatches else 'MISMATCHED'}, "
         f"two-form agreement held"

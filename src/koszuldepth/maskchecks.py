@@ -2,12 +2,12 @@
 
 The checks that let ``verify`` decide without visiting a support run on the
 upward chains of :func:`koszuldepth.bits.k_subset_table` (``even_stops``,
-``triangle_pairs``, which also yields a witness support per violating pair)
-and on one subset-sum transform (``contribution_counts``, whose counts are
-also the family sizes); the README states the lemmas behind them.  Once the
-two forms agree, a support's family is its parity form (``even_members``),
-which only the rank check mod 2 (``facet_rows``, ``rank_full_mod2``) reads
-per support.
+from which the script is built, and ``triangle_pairs``, which also yields a
+witness support per violating pair) and on one subset-sum transform
+(``contribution_counts``, whose counts are also the family sizes); the
+README states the lemmas behind them.  A support's family is its k-subsets
+of even index (``even_members``), which only the rank check mod 2
+(``facet_rows``, ``rank_full_mod2``) reads per support.
 """
 
 from __future__ import annotations

@@ -100,6 +100,27 @@ def naive_summands(n: int, k: int):
     return out
 
 
+def script_by_psi(tables, k: int) -> tuple[tuple[int, int | None, int], ...]:
+    """(S mask, removed element, G mask) per summand, by the paper's
+    definition on the matching ``tables``: S runs over the masks of size k,
+    k+2, ... by level, each level ascending (squashed order); the removed
+    element is the one phi(S) inserts, and G = psi^(|S|-k)(S).  Raises
+    where psi runs out before size k."""
+    n = tables.n
+    out = []
+    for size in range(k, n + 1, 2):
+        for elements in sorted(combinations(range(n), size), key=lambda c: c[::-1]):
+            s_mask = sum(1 << e for e in elements)
+            up = tables.phi[s_mask]
+            g_mask = s_mask
+            for _ in range(size - k):
+                g_mask = tables.psi[g_mask]
+                if g_mask is None:
+                    raise ValueError(f"downward matching undefined below mask {s_mask:#x}")
+            out.append((s_mask, None if up is None else (up ^ s_mask).bit_length(), g_mask))
+    return tuple(out)
+
+
 def naive_squashed_precedes(a: set[int], b: set[int]) -> bool:
     """a strictly before b: the largest element where they differ lies in b."""
     diff = a ^ b

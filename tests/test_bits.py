@@ -10,6 +10,7 @@ import pytest
 import koszuldepth
 from koszuldepth.bits import (
     chain_index,
+    chain_insertions,
     k_subset_table,
     match_tables,
     scan,
@@ -41,13 +42,23 @@ def test_match_tables_equal_reference_maps(n):
         assert scan(n, mask) == (first, last, pivot)
         assert tables.psi[mask] == _mask(naive_psi(n, elems))
         assert tables.phi[mask] == _mask(naive_phi(n, elems))
-        assert tables.psi_tilde[mask] == _mask(facet)
 
 
 def test_match_tables_ground_guard():
     for n in (0, -1, 99):
         with pytest.raises(ValueError):
             match_tables(n)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_chain_insertions_equal_the_phi_walk(n):
+    # the closed form against the chain itself: walk phi to its end
+    phi = match_tables(n).phi
+    for g in range(1 << n):
+        top = g
+        while phi[top] is not None:
+            top = phi[top]
+        assert chain_insertions(n, g) == top ^ g, g
 
 
 def test_sized_submasks_ascending():
@@ -77,6 +88,21 @@ def test_lattice_path_called_only_for_drawing():
     assert "cli.py" in callers
     assert callers <= {"subsets.py", "cli.py"}
     assert walks == []
+
+
+def test_one_chain_engine():
+    # verify runs on the chains' closed form alone: only the matching-law
+    # sweeps build the tables over all masks, and only the k-subset table
+    # reads the closed form
+    callers = {"match_tables": set(), "chain_insertions": set()}
+    for path in Path(koszuldepth.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name in callers:
+                    callers[name].add(path.name)
+    assert callers == {"match_tables": {"checks.py"}, "chain_insertions": {"bits.py"}}
 
 
 def _elements(mask):

@@ -1,7 +1,6 @@
 """Construction of the decomposition and every verification layer."""
 
 import re
-from functools import lru_cache
 from itertools import product
 from math import comb
 
@@ -30,7 +29,7 @@ from koszuldepth.decomposition import (
     verify_stanley,
 )
 from koszuldepth import decomposition, koszul
-from koszuldepth.bits import k_subset_table, sized_submasks
+from koszuldepth.bits import k_subset_table, match_tables
 from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.maskchecks import contribution_counts, triangle_pairs
 from koszuldepth.subsets import Subset, level_key
@@ -46,6 +45,7 @@ from helpers import (
     naive_least_witnesses,
     naive_triangle,
     naive_witness_holds,
+    script_by_psi,
     sympy_rank,
 )
 
@@ -185,105 +185,16 @@ def test_family_sizes(n):
             assert masks == sorted(masks)
 
 
-def _every_support_refuses(n, k):
-    """Every support's contribution_family raises under the patched script."""
-    for m_mask in range(1 << n):
-        if m_mask.bit_count() >= k:
-            with pytest.raises(RuntimeError, match="families disagree"):
-                contribution_family(n, k, Subset.from_mask(n, m_mask))
-
-
-@pytest.mark.parametrize("drop", [0, -1, None])
-def test_families_disagree_even_when_counts_match(monkeypatch, drop):
-    # the summand form gains an odd-index k-subset of M and loses one
-    # even-index member, the first or the last, so both forms still have six
-    # members; or it only gains the odd one.  The script itself is corrupted:
-    # the member's summand is dropped, and the odd subset generates a summand
-    # on S = M whose removed variable lies outside M
-    n, k = 7, 3
-    M = S(7, [1, 2, 4, 5, 7])
-    members = [mem.G.mask for mem in contribution_family(n, k, M).members]
-    odd = next(g for g in sized_submasks(M.mask, k) if g not in members)
-    script = list(decomposition._script(n, k))
-    if drop is not None:
-        script.remove(_summand_at(script, M, members[drop]))
-    script.append((M.mask, 3, odd))
-    _patch_script(monkeypatch, script)
-    _every_support_refuses(n, k)
-    with pytest.raises(RuntimeError, match="families disagree"):
-        verify_stanley(n, k, check_rank=False)
-
-
-def test_repeated_generator_raises(monkeypatch):
-    n, k = 7, 3
-    M = S(7, [1, 2, 4, 5, 7])
-    members = [mem.G.mask for mem in contribution_family(n, k, M).members]
-    script = list(decomposition._script(n, k))
-    script.append(_summand_at(script, M, members[-1]))
-    _patch_script(monkeypatch, script)
-    _every_support_refuses(n, k)
-
-
-def test_two_form_check_catches_a_moved_generator(monkeypatch):
-    # every Hilbert count stays right under each corruption, so only the
-    # two-form check sees it, and verify raises on it: one summand names
-    # another k-subset of its S as generator, or an added summand removes an
-    # element of its own S and so reaches no support at all
-    n, k = 7, 3
-    script = list(decomposition._script(n, k))
-    counts = contribution_counts(n, script)
-    i, (s, removed, g) = next(
-        (i, sm) for i, sm in enumerate(script) if sm[0].bit_count() == k + 2
-    )
-    moved = list(script)
-    moved[i] = (s, removed, next(h for h in sized_submasks(s, k) if h != g))
-    for corrupted in (moved, script + [(0b11111, 4, 0b111)]):
-        _patch_script(monkeypatch, corrupted)
-        assert contribution_counts(n, corrupted) == counts
-        with pytest.raises(RuntimeError, match="families disagree"):
-            decomposition._two_forms_agree(n, k)
-        with pytest.raises(RuntimeError, match="families disagree"):
-            verify_stanley(n, k, check_rank=False)
-
-
-def test_summand_removing_an_element_of_its_own_s_raises(monkeypatch):
-    # such a summand reaches no support, so no comparison at one support
-    # could see it; the whole-script check refuses it at every support
-    n, k = 7, 3
-    _patch_script(monkeypatch, list(decomposition._script(n, k)) + [(0b11111, 4, 0b111)])
-    _every_support_refuses(n, k)
-
-
-def test_two_forms_compared_once_across_supports(monkeypatch):
-    # the whole-script comparison reads each k-subset's chain once and is
-    # cached per (n, k), so building every support's family (as the
-    # benchmark tracer's replay does) runs it once, not once per support
-    n, k = 9, 4
-    calls = []
-    stops = decomposition.even_stops
-    monkeypatch.setattr(decomposition, "even_stops", lambda added: calls.append(added) or stops(added))
-    decomposition._two_forms_agree.cache_clear()
-    supports = [m for m in range(1 << n) if m.bit_count() >= k]
-    for m_mask in supports:
-        fam = contribution_family(n, k, Subset.from_mask(n, m_mask))
-        assert len(fam.members) == comb(m_mask.bit_count() - 1, k - 1)
-    assert len(supports) == 382 and len(calls) == comb(n, k)
-
-
-def _summand_at(script, M, g):
-    """The summand of the script that puts generator g at support M."""
-    return next(
-        (s, removed, gen) for s, removed, gen in script
-        if gen == g and not s & ~M.mask and (removed is None or removed not in M.elements)
-    )
-
-
-def _patch_script(monkeypatch, script):
-    monkeypatch.setattr(decomposition, "_script", lambda n_, k_: tuple(script))
-    # the two-form check is cached per (n, k); a fresh cache reads the
-    # corrupted script, and the original cache is restored afterwards
-    fresh = lru_cache(maxsize=1)(decomposition._two_forms_agree.__wrapped__)
-    monkeypatch.setattr(decomposition, "_two_forms_agree", fresh)
+@pytest.mark.parametrize(
+    "n, k",
+    [(n, k) for n in range(2, 15) for k in range(max(n // 2, 1), n)]
+    + [(16, 8), (4, 1), (6, 2), (8, 3), (10, 4)],
+)
+def test_chain_script_equals_psi_iteration(n, k):
+    # the script from the chains is the paper's G(S) = psi^(|S|-k)(S) with
+    # the variable phi(S) inserts removed, on the upper half and at the
+    # points below the guard where psi iteration is still defined
+    assert decomposition._script(n, k) == script_by_psi(match_tables(n), k)
 
 
 def test_verify_stanley_does_no_per_pair_work(monkeypatch):

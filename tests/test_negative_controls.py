@@ -3,14 +3,15 @@ every verification layer; a fault in a producer that looks right must fail
 the check that reads what it produced.
 
 The guard is bypassed by monkeypatching ``decomposition.require_upper_half``;
-no command-line path reaches these sizes.  At k = n/2 - 1 the construction
-still builds: the Hilbert identity, family size and rank checks each flag
-the same supports, and the triangle check names each violating pair with
-its least witness support.  Further below, the downward matching runs out
-before size k, and ``verify_stanley`` reports that as one failure instead
-of crashing.  On the upper half, a distinguished facet that deletes the last
-peak over the members instead of the first breaks the triangle condition
-and nothing else.
+no command-line path reaches these sizes.  At k = n/2 - 1 the script from
+the chains equals psi iteration: the Hilbert identity, family size and rank
+checks each flag the same supports, and the triangle check names each
+violating pair with its least witness support.  Further below, psi iteration
+runs out before size k, but the chains still give a script, and the Hilbert
+identity fails on it.  On the upper half, a distinguished facet that deletes
+the last peak over the members instead of the first breaks the triangle
+condition and nothing else, and a chain with a moved or a missing insertion
+fails ``verify`` too.
 """
 
 from itertools import product
@@ -33,6 +34,7 @@ from helpers import (
     naive_least_witnesses,
     naive_support_counts,
     naive_witness_holds,
+    script_by_psi,
 )
 
 
@@ -172,8 +174,8 @@ def test_transform_counts_below_the_guard(unguarded, n, k, failing):
 def test_triangle_pairs_below_the_guard(n, k, pairs):
     # the pair test finds exactly the pairs that violate the triangle
     # condition on some support, each once with a support that shows it,
-    # the least one, also where the construction is undefined ((5,1),
-    # (7,2)): it reads only the upward chains
+    # the least one, also where psi iteration runs out ((5,1), (7,2)): it
+    # reads only the upward chains
     got = list(triangle_pairs(n, k))
     assert len(got) == len({(g, h) for g, h, _ in got}) == pairs
     assert all(naive_witness_holds(n, g, h, r) for g, h, r in got)
@@ -207,20 +209,26 @@ def test_triangle_lines_name_each_violating_pair(unguarded):
         assert got == _triangle_lines(n, k)
 
 
+# supports whose summand count misses the dimension, where psi runs out
+_UNDEFINED_HILBERT = {(5, 1): 15, (6, 1): 39, (7, 2): 56}
+
+
 @pytest.mark.parametrize(
     "n, k, mask",
     [(5, 1, Subset(5, [1, 3, 5])), (6, 1, Subset(6, [1, 3, 5])), (7, 2, Subset(7, [1, 3, 5, 7]))],
 )
 def test_undefined_construction_is_a_structured_failure(unguarded, n, k, mask):
+    # psi iteration runs out below mask, but the chains give a script all
+    # the same; verify runs every check on it and fails the Hilbert identity
+    message = f"downward matching undefined below mask {mask.mask:#x}"
+    with pytest.raises(ValueError, match=message):
+        script_by_psi(bits.match_tables(n), k)
     rep = verify_stanley(n, k, check_rank=True)
     assert not rep.passed
-    assert rep.failures == [f"downward matching undefined below {mask}"]
-    # no later stage ran
-    assert rep.counts == {}
-    assert rep.lines == [f"stanley decomposition of M({n},{k}): undefined, no later check run"]
-    message = f"downward matching undefined below mask {mask.mask:#x}"
-    with pytest.raises(RuntimeError, match=message):
-        build_decomposition(n, k)
+    failing = _UNDEFINED_HILBERT[n, k]
+    assert rep.counts["hilbert_failures"] == failing
+    assert rep.failures[:failing] == [f for f in rep.failures if "summands vs dimension" in f]
+    assert len(build_decomposition(n, k).summands) == rep.counts["summands"]
 
 
 def _last_pivot_scan(n, mask):
@@ -239,18 +247,22 @@ def _last_pivot_scan(n, mask):
 
 
 _real_scan = bits.scan
-_CACHES = (bits.match_tables, bits.k_subset_table, decomposition._script, decomposition._two_forms_agree)
+_CACHES = (bits.match_tables, bits.k_subset_table, decomposition._script)
+
+
+def _faulted(monkeypatch, name, fault):
+    monkeypatch.setattr(bits, name, fault)
+    for cache in _CACHES:
+        cache.cache_clear()
+    yield fault
+    # no faulted table may outlive the patch
+    for cache in _CACHES:
+        cache.cache_clear()
 
 
 @pytest.fixture
 def last_pivot(monkeypatch):
-    monkeypatch.setattr(bits, "scan", _last_pivot_scan)
-    for cache in _CACHES:
-        cache.cache_clear()
-    yield
-    # no faulted table may outlive the patch
-    for cache in _CACHES:
-        cache.cache_clear()
+    yield from _faulted(monkeypatch, "scan", _last_pivot_scan)
 
 
 def _last_facet(n, elements):
@@ -279,3 +291,63 @@ def test_no_matching_suite_sees_the_last_pivot(last_pivot):
     for check in (checks.check_inverse_law, checks.check_index_equivalence,
                   checks.check_greedy_agreement):
         assert check(8).passed
+
+
+_real_chain_insertions = bits.chain_insertions
+
+
+def _moved_first_insertion(n, g):
+    """``bits.chain_insertions`` with a chain fault: the first insertion
+    moves to the next position above it that is neither in g nor inserted,
+    if there is one."""
+    added = _real_chain_insertions(n, g)
+    first = added & -added
+    free = ~(g | added) & ((1 << n) - 1) & ~((first << 1) - 1)
+    return added ^ first | free & -free if first and free else added
+
+
+def _strict_chain_insertions(n, g):
+    """``bits.chain_insertions`` with ``>=`` made strict: a non-member is
+    inserted only above every later height, so ties are dropped."""
+    height, best, added = 2 * g.bit_count() - n, -n - 1, 0
+    for pos in range(n - 1, -1, -1):
+        if (g >> pos) & 1:
+            best = max(best, height)
+            height -= 1
+        else:
+            if height > best:
+                best = height
+                added |= 1 << pos
+            height += 1
+    return added
+
+
+# per fault and (n, k): Hilbert failures (also the family-size
+# mismatches), violating pairs and rank-deficient supports
+_CHAIN_FAULT_FAILURES = {
+    _moved_first_insertion: {
+        (6, 3): (11, 6, 6), (8, 4): (54, 34, 33), (9, 4): (182, 85, 120), (10, 5): (252, 180, 164),
+    },
+    _strict_chain_insertions: {
+        (6, 3): (10, 5, 10), (8, 4): (46, 24, 46), (9, 4): (144, 55, 143), (10, 5): (205, 113, 203),
+    },
+}
+
+
+@pytest.fixture(params=list(_CHAIN_FAULT_FAILURES), ids=lambda fault: fault.__name__.strip("_"))
+def chain_fault(monkeypatch, request):
+    yield from _faulted(monkeypatch, "chain_insertions", request.param)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4), (9, 4), (10, 5)])
+def test_chain_fault_fails_verify(chain_fault, n, k):
+    # the script, the families and the triangle partners all come from the
+    # chains, so a chain with one insertion moved or dropped fails the
+    # Hilbert identity, the family sizes, the triangle and the rank check
+    rep = verify_stanley(n, k, check_rank=True)
+    assert not rep.passed
+    hilbert, pairs, rank = _CHAIN_FAULT_FAILURES[chain_fault][n, k]
+    assert rep.counts["hilbert_failures"] == rep.counts["family_size_mismatches"] == hilbert
+    assert rep.counts["triangle_violations"] == pairs
+    assert rep.counts["rank_failures"] == rank
+    assert len(rep.failures) == hilbert + pairs + rank
