@@ -297,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the boxed dimension check with entries up to D "
                     "(recommended maxima: n = 9 at D = 2, n = 12 at D = 1)")
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
-                    help="exact rank checking (auto: on for n <= 13)")
+                    help="exact rank checking (auto: on for n <= 15)")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
                     help="worker processes for sweeps, at most one per (n, k) task")
     _add_format(sp)

@@ -25,7 +25,8 @@ from . import matching
 # tracer wraps this module's bindings
 from .bits import chain_index, k_subset_table, match_tables, phi_index, sized_submasks
 from .maskchecks import (
-    contribution_counts, even_members, even_stops, facet_rows, rank_full_mod2, triangle_pairs
+    contribution_counts, even_families, even_members, even_stops, facet_row_table,
+    rank_full_mod2, triangle_pairs,
 )
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m
 from .report import Report
@@ -444,13 +445,14 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     (one call per support size), the family sizes with C(|M|-1, k-1).  The
     triangle condition is decided by pairs of k-subsets, and each violating
     pair is named with its least witness support.  None of these visits a
-    support; only rank does (by default for n <= 13): mod 2, with Bareiss
-    where that fails.  The depth conclusion cites the upper bound rather
-    than verifying it.
+    support; only rank does (by default for n <= 15): mod 2, on families
+    from one push of the chains and rows from one table of facets, with
+    Bareiss where that fails.  The depth conclusion cites the upper bound
+    rather than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
-        check_rank = n <= 13
+        check_rank = n <= 15
     rep = Report(f"stanley decomposition n={n} k={k}")
     script = _script(n, k)
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
@@ -476,19 +478,21 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     supports = sum(comb(n, s) for s in range(k, n + 1))
     rank_checked = 0
     rank_failures = 0
-    table = k_subset_table(n, k)
-    for m_mask in range(1, 1 << n) if check_rank else ():
-        if m_mask.bit_count() < k:
-            continue
-        members = even_members(table, m_mask, k)
-        rank_checked += 1
-        # an odd maximal minor is a non-zero integer, so full rank mod 2
-        # is full rank over Q; only a deficiency mod 2 needs Bareiss
-        if not rank_full_mod2(facet_rows(m_mask, k, [g for g, _ in members])):
-            family = _family_from_masks(Subset.from_mask(n, m_mask), k, members)
-            if not rank_full(sign_matrix(family)):
-                rank_failures += 1
-                rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
+    if check_rank:
+        families = even_families(n, k)
+        rows = facet_row_table(n, k)
+        for m_mask in range(1, 1 << n):
+            if m_mask.bit_count() < k:
+                continue
+            rank_checked += 1
+            # an odd maximal minor is a non-zero integer, so full rank mod 2
+            # is full rank over Q; only a deficiency mod 2 needs Bareiss
+            if not rank_full_mod2(map(rows.__getitem__, families[m_mask])):
+                M = Subset.from_mask(n, m_mask)
+                family = _family_from_masks(M, k, even_members(k_subset_table(n, k), m_mask, k))
+                if not rank_full(sign_matrix(family)):
+                    rank_failures += 1
+                    rep.fail(f"support {M}: sign matrix rank deficient")
 
     rep.counts["summands"] = len(script)
     rep.counts["supports"] = supports

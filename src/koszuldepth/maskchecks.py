@@ -6,14 +6,19 @@ from which the script is built, and ``triangle_pairs``, which also yields a
 witness support per violating pair) and on one subset-sum transform
 (``contribution_counts``, whose counts are also the family sizes); the
 README states the lemmas behind them.  A support's family is its k-subsets
-of even index (``even_members``), which only the rank check mod 2
-(``facet_rows``, ``rank_full_mod2``) reads per support.
+of even index (``even_members`` for one support).  The rank check mod 2
+reads every family at once from one push of the chains' even stops
+(``even_families``) and every member's row from one table of sign-matrix
+rows mod 2 over all (k-1)-subsets of {1..n} (``facet_row_table``); a row
+has bits only at its member's facets, which lie in the support, so against
+the support's own sign matrix it only gains zero columns, and
+``rank_full_mod2`` decides on it unchanged.
 """
 
 from __future__ import annotations
 
 from operator import add
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .bits import chain_index, k_subset_table, sized_submasks
 
@@ -127,39 +132,65 @@ def contribution_counts(n: int, summands) -> list[int]:
     return counts
 
 
-def facet_rows(m_mask: int, k: int, members: list[int]) -> list[int]:
-    """The sign matrix of the given k-subsets of M reduced mod 2, one int
-    bitmask per member.
+def even_families(n: int, k: int) -> list[list[int]]:
+    """Per support mask over {1..n}, its k-subsets of even index, ascending:
+    ``[g for g, _ in even_members(table, M, k)]`` for every M at once.
 
-    Bit j of a row is set when the j-th (k-1)-subset of M, ascending (the
-    column order of the sign matrix), is a facet of that member.
+    g has index j in M exactly when M holds ``g | prefix`` and lacks ``a``,
+    for the even stop ``(prefix, a)`` of :func:`even_stops`; so each stop
+    appends g to every M above ``g | prefix`` that lacks ``a``, one submask
+    walk over the rest of {1..n}.  A stop whose ``a`` lies in ``g | prefix``
+    meets no M.  M takes g at most once, as g has one index there, and in
+    ascending order, as the table is.
     """
-    cols = {t: 1 << j for j, t in enumerate(sized_submasks(m_mask, k - 1))}
-    rows = []
-    for g in members:
+    full = (1 << n) - 1
+    families: list[list[int]] = [[] for _ in range(full + 1)]
+    for g, (added, _, _) in k_subset_table(n, k).items():
+        for prefix, a in even_stops(added):
+            base = g | prefix
+            if a & base:
+                continue
+            free = full & ~(base | a)
+            sub = free
+            while True:
+                families[base | sub].append(g)
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+    return families
+
+
+def facet_row_table(n: int, k: int) -> dict[int, int]:
+    """Per k-subset g over {1..n}, its sign-matrix row reduced mod 2 as an
+    int: bit j is set when the j-th (k-1)-subset of {1..n}, ascending, is a
+    facet of g."""
+    full = (1 << n) - 1
+    cols = {t: 1 << j for j, t in enumerate(sized_submasks(full, k - 1))}
+    rows = {}
+    for g in sized_submasks(full, k):
         row = 0
         rest = g
         while rest:
             low = rest & -rest
             row |= cols[g ^ low]
             rest ^= low
-        rows.append(row)
+        rows[g] = row
     return rows
 
 
-def rank_full_mod2(rows: list[int]) -> bool:
+def rank_full_mod2(rows: Iterable[int]) -> bool:
     """Full row rank over GF(2) of 0/1 rows given as int bitmasks.
 
-    Keeps an XOR basis keyed by each basis row's lowest set bit; a row that
+    Keeps an XOR basis keyed by each basis row's highest set bit; a row that
     reduces to zero is dependent on the earlier ones.
     """
     basis: dict[int, int] = {}
     for row in rows:
         while row:
-            low = row & -row
-            pivot = basis.get(low)
+            top = row.bit_length()
+            pivot = basis.get(top)
             if pivot is None:
-                basis[low] = row
+                basis[top] = row
                 break
             row ^= pivot
         else:

@@ -17,7 +17,6 @@ from koszuldepth.decomposition import (
     contribution_family,
     decomposition_to_dict,
     distinguished_subset,
-    facet_rows,
     index_step_check,
     index_step_sweep,
     rank_full,
@@ -31,7 +30,9 @@ from koszuldepth.decomposition import (
 from koszuldepth import decomposition, koszul
 from koszuldepth.bits import k_subset_table, match_tables
 from koszuldepth.koszul import Multidegree, indicator
-from koszuldepth.maskchecks import contribution_counts, triangle_pairs
+from koszuldepth.maskchecks import (
+    contribution_counts, even_families, even_members, facet_row_table, triangle_pairs
+)
 from koszuldepth.subsets import Subset, level_key
 
 from helpers import (
@@ -250,25 +251,33 @@ def test_triangle_pairs_equal_per_support_enumeration(n):
 @pytest.mark.parametrize("n, k", [(9, 4), (10, 5)])
 def test_verify_stanley_passes_without_the_pass_per_support(monkeypatch, n, k):
     calls = []
+    rank_calls = []
     members = decomposition.even_members
+    rank_mod2 = decomposition.rank_full_mod2
     monkeypatch.setattr(
         decomposition, "even_members", lambda *args: calls.append(args) or members(*args)
     )
+    monkeypatch.setattr(
+        decomposition, "rank_full_mod2", lambda rows: rank_calls.append(1) or rank_mod2(rows)
+    )
     supports = sum(comb(n, s) for s in range(k, n + 1))
-    # a PASS visits no support unless rank is checked, and rank reads only
-    # the members
+    # a PASS visits no support unless rank is checked, once per support, and
+    # rank reads the families from one push, so it lists no support's members
     for check_rank, visits in ((False, 0), (True, supports)):
         calls.clear()
+        rank_calls.clear()
         rep = verify_stanley(n, k, check_rank=check_rank)
         assert rep.passed and rep.counts["supports"] == supports
-        assert len(calls) == visits
+        assert len(rank_calls) == visits
+        assert calls == []
     # a violating pair fails the report by itself, named with its witness
     # support, and still no support is visited
     g, h, r = (S(n, e).mask for e in ([2, 4, 5, 7], [1, 4, 5, 7], [1, 2, 4, 5, 7]))
     monkeypatch.setattr(decomposition, "triangle_pairs", lambda n_, k_: iter([(g, h, r)]))
     calls.clear()
+    rank_calls.clear()
     rep = verify_stanley(n, k, check_rank=False)
-    assert not rep.passed and calls == []
+    assert not rep.passed and calls == [] and rank_calls == []
     assert rep.counts["triangle_violations"] == 1
     assert "triangle condition (squashed order): 1 violations" in rep.lines
     assert rep.failures == [
@@ -400,30 +409,62 @@ def test_rank_full_mod2_basics():
     assert rank_full_mod2([0b011, 0b110, 0b100])
     assert not rank_full_mod2([0b011, 0b110, 0b101])
     assert not rank_full_mod2([0b10, 0])
+    # any iterable of rows, read once
+    assert rank_full_mod2(iter([0b011, 0b110, 0b100]))
+    assert not rank_full_mod2(map(int, [0b011, 0b110, 0b101]))
+    assert rank_full_mod2(row for row in ())
+
+
+def _on_support(n, k, m, rows):
+    """Rows over every (k-1)-subset of {1..n}, ascending, projected onto
+    the (k-1)-subsets of m, ascending."""
+    cols = [t for t in range(1 << n) if t.bit_count() == k - 1]
+    inside = [j for j, t in enumerate(cols) if not t & ~m]
+    return [sum((row >> j & 1) << i for i, j in enumerate(inside)) for row in rows]
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_rank_mod2_agrees_with_bareiss(n):
-    # every upper-half support: the rows are the sign matrix mod 2, and the
-    # mod-2 verdict equals the exact one
+    # every upper-half support: the global rows have bits only at the
+    # support's columns and, projected there, are its sign matrix mod 2; the
+    # mod-2 verdict on the global rows equals the exact one
     for k in range(max(n // 2, 1), n):
+        table = facet_row_table(n, k)
         for elems in all_element_sets(n):
             if len(elems) < k:
                 continue
             M = S(n, elems)
             fam = contribution_family(n, k, M)
             matrix = sign_matrix(fam)
-            rows = facet_rows(M.mask, k, [mem.G.mask for mem in fam.members])
-            assert rows == [sum((e % 2) << j for j, e in enumerate(r)) for r in matrix]
+            rows = [table[mem.G.mask] for mem in fam.members]
+            projected = _on_support(n, k, M.mask, rows)
+            assert projected == [sum((e % 2) << j for j, e in enumerate(r)) for r in matrix]
+            assert list(map(int.bit_count, projected)) == list(map(int.bit_count, rows))
             assert rank_full_mod2(rows) == rank_full(matrix)
 
 
 def test_repeated_member_is_deficient_on_both_fields():
     fam = contribution_family(7, 3, S(7, [1, 2, 4, 5, 7]))
     doubled = ContributionFamily(fam.M, fam.k, fam.members + fam.members[:1])
-    masks = [mem.G.mask for mem in doubled.members]
-    assert not rank_full_mod2(facet_rows(fam.M.mask, 3, masks))
+    table = facet_row_table(7, 3)
+    rows = [table[mem.G.mask] for mem in doubled.members]
+    assert _on_support(7, 3, fam.M.mask, rows) == [
+        sum((e % 2) << j for j, e in enumerate(r)) for r in sign_matrix(doubled)
+    ]
+    assert not rank_full_mod2(rows)
     assert not rank_full(sign_matrix(doubled))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_even_families_equal_even_members(n):
+    # one push of every even stop lists, at every support, the members that
+    # the per-support enumeration finds, in its order
+    for k in range(max(n // 2, 1), n):
+        table = k_subset_table(n, k)
+        families = even_families(n, k)
+        assert len(families) == 1 << n
+        for m in range(1 << n):
+            assert families[m] == [g for g, _ in even_members(table, m, k)]
 
 
 def test_verify_stanley_falls_back_to_bareiss(monkeypatch):

@@ -11,7 +11,8 @@ runs out before size k, but the chains still give a script, and the Hilbert
 identity fails on it.  On the upper half, a distinguished facet that deletes
 the last peak over the members instead of the first breaks the triangle
 condition and nothing else, and a chain with a moved or a missing insertion
-fails ``verify`` too.
+fails ``verify`` too.  Under every chain fault, the rank check's push of the
+families lists what the per-support enumeration lists.
 """
 
 from itertools import product
@@ -25,7 +26,9 @@ from koszuldepth.decomposition import (
     verify_stanley,
 )
 from koszuldepth.koszul import Multidegree, dim_oracle
-from koszuldepth.maskchecks import contribution_counts, triangle_pairs
+from koszuldepth.maskchecks import (
+    contribution_counts, even_families, even_members, triangle_pairs
+)
 from koszuldepth.subsets import Subset
 
 from helpers import (
@@ -168,6 +171,16 @@ def test_transform_counts_below_the_guard(unguarded, n, k, failing):
     assert len(hilbert.failures) == failing
 
 
+def _families_equal_members(n, k):
+    """Whether the rank check's one push lists, at every support, the
+    members of the per-support enumeration, in its order."""
+    table = bits.k_subset_table(n, k)
+    families = even_families(n, k)
+    return all(
+        families[m] == [g for g, _ in even_members(table, m, k)] for m in range(1 << n)
+    )
+
+
 @pytest.mark.parametrize(
     "n, k, pairs", [(4, 1, 4), (6, 2, 12), (8, 3, 39), (10, 4, 133), (5, 1, 7), (7, 2, 23)]
 )
@@ -175,11 +188,12 @@ def test_triangle_pairs_below_the_guard(n, k, pairs):
     # the pair test finds exactly the pairs that violate the triangle
     # condition on some support, each once with a support that shows it,
     # the least one, also where psi iteration runs out ((5,1), (7,2)): it
-    # reads only the upward chains
+    # reads only the upward chains, and so does the push of the families
     got = list(triangle_pairs(n, k))
     assert len(got) == len({(g, h) for g, h, _ in got}) == pairs
     assert all(naive_witness_holds(n, g, h, r) for g, h, r in got)
     assert {(g, h): r for g, h, r in got} == naive_least_witnesses(n, k)
+    assert _families_equal_members(n, k)
 
 
 @pytest.mark.parametrize("n, k, failing", [(4, 1, 48), (6, 2, 408)])
@@ -229,6 +243,7 @@ def test_undefined_construction_is_a_structured_failure(unguarded, n, k, mask):
     assert rep.counts["hilbert_failures"] == failing
     assert rep.failures[:failing] == [f for f in rep.failures if "summands vs dimension" in f]
     assert len(build_decomposition(n, k).summands) == rep.counts["summands"]
+    assert _families_equal_members(n, k)
 
 
 def _last_pivot_scan(n, mask):
@@ -351,3 +366,24 @@ def test_chain_fault_fails_verify(chain_fault, n, k):
     assert rep.counts["triangle_violations"] == pairs
     assert rep.counts["rank_failures"] == rank
     assert len(rep.failures) == hilbert + pairs + rank
+    # the rank check's families are the even-index members of the faulted
+    # chains, so its pinned failures keep their meaning
+    assert _families_equal_members(n, k)
+
+
+def _insertion_inside_g(n, g):
+    """``bits.chain_insertions`` with a chain fault: g's least element is
+    listed among the insertions, so a stop's next insertion can lie in g."""
+    return _real_chain_insertions(n, g) | g & -g
+
+
+@pytest.fixture
+def insertion_inside_g(monkeypatch):
+    yield from _faulted(monkeypatch, "chain_insertions", _insertion_inside_g)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4)])
+def test_even_families_skip_a_stop_inside_g(insertion_inside_g, n, k):
+    # a stop whose next insertion is a member of g meets no support, in the
+    # push as in the per-support enumeration
+    assert _families_equal_members(n, k)
