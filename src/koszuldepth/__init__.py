@@ -49,11 +49,8 @@ from .subsets import (
     MAX_N,
     LatticePath,
     Subset,
-    chi,
     format_subset,
     lattice_path,
-    lex_less,
-    level_key,
     parse_subset,
     squashed_less,
 )
@@ -83,7 +80,6 @@ __all__ = [
     "check_greedy_agreement",
     "check_index_equivalence",
     "check_inverse_law",
-    "chi",
     "contributes",
     "contribution_family",
     "decomposition_to_dict",
@@ -97,8 +93,6 @@ __all__ = [
     "index_step_sweep",
     "indicator",
     "lattice_path",
-    "level_key",
-    "lex_less",
     "parse_subset",
     "phi",
     "psi",

@@ -14,7 +14,6 @@ argument rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import comb
 from operator import ne
@@ -121,8 +120,6 @@ def _contributes(s: int, z: int, support: int, repeated: int) -> bool:
     return not s & ~support and not (support & ~s | s & repeated) & ~z
 
 
-# like the bits tables, the script is cached for the last (n, k) only
-@lru_cache(maxsize=1)
 def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     """(S mask, removed element, G mask) per summand, in (level, squashed) order.
 
@@ -183,7 +180,7 @@ def triangle_check(family: ContributionFamily) -> TriangleReport:
     M, k = family.M, family.k
     for member in family.members:
         G = member.G
-        if k < 1 or G.n != M.n or len(G) != k or not G.elements <= M.elements:
+        if k < 1 or G.n != M.n or len(G) != k or G.mask & ~M.mask:
             raise ValueError(f"family member {G} is not a non-empty {k}-subset of {M}")
     table = k_subset_table(M.n, k)
     position: dict[int, int] = {}

@@ -33,10 +33,7 @@ class Multidegree:
         object.__setattr__(self, "exponents", exps)
 
     def support(self) -> Subset:
-        return Subset(self.n, (i + 1 for i, e in enumerate(self.exponents) if e > 0))
-
-    def total(self) -> int:
-        return sum(self.exponents)
+        return Subset.from_mask(self.n, self.masks()[0])
 
     def plus(self, other: Multidegree) -> Multidegree:
         if self.n != other.n:
@@ -55,7 +52,11 @@ class Multidegree:
 
 def indicator(S: Subset) -> Multidegree:
     """The squarefree multidegree with exponent 1 exactly on S."""
-    return Multidegree(S.n, (1 if i + 1 in S.elements else 0 for i in range(S.n)))
+    return _squarefree(S.n, S.mask)
+
+
+def _squarefree(n: int, mask: int) -> Multidegree:
+    return Multidegree(n, ((mask >> i) & 1 for i in range(n)))
 
 
 @dataclass(frozen=True)
@@ -76,11 +77,12 @@ def boundary_sign(G: Subset, T: Subset) -> SignEntry | None:
     same_ground(G, T)
     if len(T) != len(G) - 1:
         raise ValueError(f"need |T| = |G|-1, got |G|={len(G)}, |T|={len(T)}")
-    if not T.elements <= G.elements:
+    g, t = G.mask, T.mask
+    if t & ~g:
         return None
-    (dropped,) = G.elements - T.elements
-    j = G.sorted_elements().index(dropped) + 1
-    return SignEntry(G, T, 1 if j % 2 == 1 else -1, dropped)
+    dropped = g ^ t
+    below = (g & (dropped - 1)).bit_count()
+    return SignEntry(G, T, -1 if below % 2 else 1, dropped.bit_length())
 
 
 @dataclass(frozen=True)
@@ -119,50 +121,33 @@ class KoszulChain:
         return self.text()
 
 
-def _basis_mask(basis: tuple[int, ...]) -> int:
-    m = 0
-    for e in basis:
-        m |= 1 << (e - 1)
-    return m
-
-
-def _make_chain(n: int, terms: list[ChainTerm]) -> KoszulChain:
-    sizes = {len(t.basis) for t in terms}
-    assert len(sizes) <= 1, "mixed wedge degrees in one chain"
-    terms.sort(key=lambda t: -_basis_mask(t.basis))
-    return KoszulChain(n, tuple(terms))
-
-
 def boundary(G: Subset) -> KoszulChain:
-    """Boundary of the wedge basis vector indexed by G.
-
-    Dropping the j-th smallest element contributes sign (-1)^(j+1) and the
-    variable of the dropped element, so every term has total multidegree
-    equal to the indicator of G.
-    """
-    if not G.elements:
-        raise ValueError("boundary needs a non-empty subset")
-    n = G.n
-    terms = []
-    for j, g in enumerate(G.sorted_elements(), start=1):
-        coeff = indicator(Subset(n, {g}))
-        basis = tuple(e for e in G.sorted_elements() if e != g)
-        terms.append(ChainTerm(basis, 1 if j % 2 == 1 else -1, coeff))
-    return _make_chain(n, terms)
+    """Boundary of the wedge basis vector indexed by G: its generator of
+    multidegree G, so every term has total multidegree the indicator of G."""
+    return generator_m(G, G)
 
 
 def generator_m(S: Subset, G: Subset) -> KoszulChain:
     """The chosen generator of multidegree S: the boundary of G scaled by the
-    monomial on S minus G."""
+    monomial on S minus G.
+
+    Dropping the j-th smallest element of G contributes sign (-1)^(j+1) and
+    the variable of the dropped element.  The terms come out in ascending
+    dropped element, which is descending basis mask: the canonical order.
+    """
     same_ground(S, G)
-    if not G.elements <= S.elements:
+    n, g = S.n, G.mask
+    if g & ~S.mask:
         raise ValueError(f"{G} is not contained in {S}")
-    scale = indicator(Subset(S.n, S.elements - G.elements))
-    terms = [
-        ChainTerm(t.basis, t.sign, t.coefficient.plus(scale))
-        for t in boundary(G).terms
-    ]
-    return _make_chain(S.n, terms)
+    if not g:
+        raise ValueError("boundary needs a non-empty subset")
+    scale, members = S.mask & ~g, G.sorted_elements()
+    terms = (
+        ChainTerm(tuple(e for e in members if e != d), 1 if j % 2 else -1,
+                  _squarefree(n, scale | 1 << (d - 1)))
+        for j, d in enumerate(members, start=1)
+    )
+    return KoszulChain(n, tuple(terms))
 
 
 def term_multidegree(term: ChainTerm, n: int) -> Multidegree:
@@ -200,5 +185,5 @@ def dim_oracle(n: int, k: int, m: Multidegree) -> int:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")
     if m.n != n:
         raise ValueError(f"multidegree over n={m.n}, expected {n}")
-    s = len(m.support())
+    s = m.masks()[0].bit_count()
     return sum((-1) ** (j - k) * comb(s, j) for j in range(k, s + 1))

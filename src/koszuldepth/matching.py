@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .bits import scan
 # lattice_path is unused here, but the benchmark tracer wraps this module's binding
-from .subsets import MAX_N, Subset, lattice_path, same_ground
+from .subsets import Subset, check_ground, lattice_path, same_ground
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ def psi(G: Subset) -> MatchResult:
     nu, _, _ = scan(G.n, G.mask)
     if nu == 0:
         return _UNDEFINED
-    return MatchResult(True, Subset(G.n, G.elements - {nu}), nu)
+    return MatchResult(True, Subset.from_mask(G.n, G.mask ^ 1 << (nu - 1)), nu)
 
 
 def phi(G: Subset) -> MatchResult:
@@ -48,7 +48,7 @@ def phi(G: Subset) -> MatchResult:
     _, mu, _ = scan(G.n, G.mask)
     if mu == G.n:
         return _UNDEFINED
-    return MatchResult(True, Subset(G.n, G.elements | {mu + 1}), mu + 1)
+    return MatchResult(True, Subset.from_mask(G.n, G.mask | 1 << mu), mu + 1)
 
 
 def psi_tilde(G: Subset) -> MatchResult:
@@ -57,10 +57,11 @@ def psi_tilde(G: Subset) -> MatchResult:
     Always defined for non-empty G, at the cost of injectivity.  Coincides
     with ``psi`` whenever the unrestricted maximum is positive.
     """
-    if not G.elements:
+    g = G.mask
+    if not g:
         raise ValueError("psi_tilde needs a non-empty subset")
-    _, _, pivot = scan(G.n, G.mask)
-    return MatchResult(True, Subset(G.n, G.elements - {pivot}), pivot)
+    _, _, pivot = scan(G.n, g)
+    return MatchResult(True, Subset.from_mask(G.n, g ^ 1 << (pivot - 1)), pivot)
 
 
 def index(G: Subset, M: Subset) -> int:
@@ -70,10 +71,9 @@ def index(G: Subset, M: Subset) -> int:
     segment and a simple loop on masks suffices.
     """
     same_ground(G, M)
-    if not G.elements <= M.elements:
+    n, m, cur = G.n, M.mask, G.mask
+    if cur & ~m:
         raise ValueError(f"{G} is not contained in {M}")
-    n, m = G.n, M.mask
-    cur = G.mask
     i = 0
     while True:
         _, mu, _ = scan(n, cur)
@@ -93,10 +93,9 @@ def greedy_lex_matching(n: int, l: int) -> dict[int, int]:
     so on.  This replays the original definition of the matching and serves
     as the oracle for ``psi``.
     """
+    check_ground(n)
     if not 0 <= l < n:
         raise ValueError(f"level must satisfy 0 <= l < n, got l={l}, n={n}")
-    if n > MAX_N:
-        raise ValueError(f"ground set size must lie in 1..{MAX_N}, got {n}")
     used: set[int] = set()
     out: dict[int, int] = {}
     for big in combinations([1 << e for e in range(n)], l + 1):

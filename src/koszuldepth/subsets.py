@@ -1,10 +1,11 @@
-"""Subsets of {1..n}, their lattice paths, and the two linear orders.
+"""Subsets of {1..n}: how a set is parsed and printed, its lattice path,
+and squashed order.
 
-A subset G of {1..n} is read as a walk: position g steps up if g lies in G
-and down otherwise.  The matching maps read the peaks of that walk off the
-mask scan in :mod:`koszuldepth.bits`; ``lattice_path`` spells the whole
-profile out for display.  A subset carries its ground set size n explicitly
-and refuses to interact with subsets over a different ground set.
+Every check runs on masks (``Subset.mask``, ``Subset.from_mask``); no other
+module reads ``Subset.elements``.  The lattice path of G steps up at the
+members of G and down elsewhere; ``lattice_path`` spells it out for the
+``path`` drawing.  A subset carries its ground set size n explicitly and
+refuses to interact with subsets over a different ground set.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class Subset:
             raise ValueError(f"mask {mask:#x} does not fit ground set 1..{n}")
         return cls(n, (e for e in range(1, n + 1) if (mask >> (e - 1)) & 1))
 
-    @classmethod
-    def full(cls, n: int) -> Subset:
-        return cls(n, range(1, n + 1))
-
     @property
     def mask(self) -> int:
         m = 0
@@ -73,23 +70,10 @@ class Subset:
     def __str__(self) -> str:
         return format_subset(self)
 
-    def issubset(self, other: Subset) -> bool:
-        same_ground(self, other)
-        return self.elements <= other.elements
-
 
 def same_ground(a: Subset, b: Subset) -> None:
     if a.n != b.n:
         raise ValueError(f"mixed ground sets: n={a.n} vs n={b.n}")
-
-
-def chi(G: Subset, j: int) -> int:
-    """Incidence step of G at position j: 0 at the origin, +1 on members, -1 off."""
-    if not 0 <= j <= G.n:
-        raise ValueError(f"position {j} outside 0..{G.n}")
-    if j == 0:
-        return 0
-    return 1 if j in G.elements else -1
 
 
 @dataclass(frozen=True)
@@ -133,18 +117,6 @@ def squashed_less(G: Subset, H: Subset) -> bool:
     if not diff:
         return False
     return max(diff) in H.elements
-
-
-def lex_less(G: Subset, H: Subset) -> bool:
-    """Lexicographic comparison of the sorted element sequences."""
-    if len(G) != len(H):
-        raise ValueError(f"lex order compares equal sizes, got {len(G)} and {len(H)}")
-    return G.sorted_elements() < H.sorted_elements()
-
-
-def level_key(G: Subset) -> tuple[int, int]:
-    """Sort key realising (cardinality, squashed) order."""
-    return (len(G), G.mask)
 
 
 def format_subset(G: Subset) -> str:

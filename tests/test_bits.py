@@ -105,6 +105,17 @@ def test_one_chain_engine():
     assert callers == {"match_tables": {"checks.py"}, "chain_insertions": {"bits.py"}}
 
 
+def test_subset_only_parses_and_prints():
+    # every check runs on masks: outside the subsets module, a Subset is
+    # read through its mask, its size or its sorted elements, never the set
+    readers = set()
+    for path in Path(koszuldepth.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "elements":
+                readers.add(path.name)
+    assert readers == {"subsets.py"}
+
+
 def _elements(mask):
     return {e + 1 for e in range(mask.bit_length()) if (mask >> e) & 1}
 

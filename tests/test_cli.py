@@ -165,6 +165,25 @@ CHECK_MATCHING_8_JSON = {
 }
 
 
+# Complete chain output, pinned byte for byte: the text of `family 9 4
+# {1,2,5,7,9} --matrix` here, and under golden/ the text of `decompose 7 3`
+# and the JSON of `decompose 8 4 --format json`.
+FAMILY_9_4_MATRIX = (
+    "family for M = {1,2,5,7,9}, n = 9, k = 4: 4 members\n"
+    "{1,2,5,7}  index 0  distinguished {1,5,7}\n"
+    "{1,2,5,9}  index 0  distinguished {1,5,9}\n"
+    "{1,2,7,9}  index 0  distinguished {1,7,9}\n"
+    "{2,5,7,9}  index 0  distinguished {5,7,9}\n"
+    "sign matrix (columns: (k-1)-subsets of M in squashed order):\n"
+    "-1 +1 -1 +1  0  0  0  0  0  0\n"
+    "-1  0  0  0 +1 -1 +1  0  0  0\n"
+    " 0 -1  0  0 +1  0  0 -1 +1  0\n"
+    " 0  0  0 -1  0  0 +1  0 -1 +1\n"
+)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -236,6 +255,25 @@ def test_family_json_and_matrix(capsys):
 def test_family_support_too_small(capsys):
     code, _, err = run(capsys, "family", "7", "3", "{1,2}")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("decompose", "7", "3"), "decompose_7_3.txt"),
+        (("decompose", "8", "4", "--format", "json"), "decompose_8_4.json"),
+    ],
+)
+def test_decompose_golden(capsys, argv, golden):
+    # every summand's S, Z, removed element, G and generator text, signs
+    # and term order included
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+def test_family_matrix_golden(capsys):
+    assert run(capsys, "family", "9", "4", "{1,2,5,7,9}", "--matrix") == (0, FAMILY_9_4_MATRIX, "")
 
 
 def test_decompose_json_schema(capsys):

@@ -33,7 +33,7 @@ from koszuldepth.koszul import Multidegree, indicator
 from koszuldepth.maskchecks import (
     contribution_counts, even_families, even_members, facet_row_table, triangle_pairs
 )
-from koszuldepth.subsets import Subset, level_key
+from koszuldepth.subsets import Subset
 
 from helpers import (
     admissible_triples,
@@ -66,7 +66,7 @@ def test_summand_index_sets_examples():
     assert len(sets) == 57  # 35 + 21 + 1
     assert [len(s) for s in sets] == [3] * 35 + [5] * 21 + [7]
     # (level, squashed) order throughout
-    assert sets == sorted(sets, key=level_key)
+    assert sets == sorted(sets, key=lambda s: (len(s), s.mask))
 
 
 def test_range_guard():

@@ -23,7 +23,7 @@ from helpers import all_element_sets, koszul_image_dim
 def test_multidegree_basics():
     m = Multidegree(4, (2, 0, 1, 0))
     assert m.support() == Subset(4, [1, 3])
-    assert m.total() == 3
+    assert sum(m.exponents) == 3
     assert m.masks() == (0b0101, 0b0001)
     with pytest.raises(ValueError):
         Multidegree(4, (1, 2, 3))
@@ -82,6 +82,41 @@ def test_generator_examples():
         generator_m(Subset(3, [1, 2]), Subset(3, [3]))
 
 
+def test_chain_builders_reject_what_they_cannot_build():
+    # the boundary of the empty basis vector is not built, with or without a
+    # scale, and G must lie inside S over the same ground set
+    with pytest.raises(ValueError, match="non-empty"):
+        generator_m(Subset(3, [1, 2]), Subset(3))
+    with pytest.raises(ValueError, match="non-empty"):
+        boundary(Subset(3))
+    with pytest.raises(ValueError, match="not contained"):
+        generator_m(Subset(4, [1, 2]), Subset(4, [2, 3]))
+    with pytest.raises(ValueError, match="mixed ground sets"):
+        generator_m(Subset(4, [1, 2]), Subset(3, [1]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_generator_is_the_scaled_boundary(n):
+    # the definition term by term: drop the j-th smallest element d of G with
+    # sign (-1)^(j+1), multiply by x_d and the monomial on S - G, and list
+    # the terms greatest basis subset first
+    for s_elems in all_element_sets(n):
+        for g_elems in all_element_sets(n):
+            if not g_elems or not g_elems <= s_elems:
+                continue
+            members = sorted(g_elems)
+            expected = []
+            for j, d in enumerate(members, start=1):
+                basis = tuple(e for e in members if e != d)
+                coeff = indicator(Subset(n, s_elems - g_elems | {d}))
+                expected.append((sum(1 << (b - 1) for b in basis), basis, (-1) ** (j + 1), coeff))
+            expected.sort(reverse=True, key=lambda t: t[0])
+            got = generator_m(Subset(n, s_elems), Subset(n, g_elems))
+            assert [(t.basis, t.sign, t.coefficient) for t in got.terms] == [
+                (basis, sign, coeff) for _, basis, sign, coeff in expected
+            ]
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_homogeneity(n):
     # boundary terms carry the degree of G; generators carry the degree of S
@@ -135,10 +170,10 @@ def test_dim_closed_form():
 def test_dim_total_degree_form_only_squarefree():
     # on squarefree degrees the support size is the total degree...
     m = Multidegree(5, (1, 1, 0, 1, 0))
-    assert dim_oracle(5, 2, m) == comb(m.total() - 1, 1)
+    assert dim_oracle(5, 2, m) == comb(sum(m.exponents) - 1, 1)
     # ...but not beyond: (2,1,1) has total degree 4 and dimension C(2,1), not C(3,1)
     m = Multidegree(3, (2, 1, 1))
-    assert dim_oracle(3, 2, m) == 2 != comb(m.total() - 1, 1)
+    assert dim_oracle(3, 2, m) == 2 != comb(sum(m.exponents) - 1, 1)
 
 
 def test_dim_oracle_contract():

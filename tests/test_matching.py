@@ -39,7 +39,7 @@ def test_psi_examples():
     assert r.defined and r.value == Subset(7, [1, 2, 4, 7]) and r.pivot == 5
 
     for n in (1, 4, 9):
-        r = psi(Subset.full(n))
+        r = psi(Subset(n, range(1, n + 1)))
         assert r.value == Subset(n, range(1, n)) and r.pivot == n
 
     r = psi(Subset(3, [2]))  # heights 0,-1,0,-1: peak at the origin
@@ -56,7 +56,7 @@ def test_phi_examples():
     for n in (1, 5):
         r = phi(Subset(n))
         assert r.value == Subset(n, [1]) and r.pivot == 1
-        assert not phi(Subset.full(n)).defined
+        assert not phi(Subset(n, range(1, n + 1))).defined
 
     assert not phi(Subset(7, [1, 2, 4, 5, 7])).defined  # peak ends at n
 
@@ -130,7 +130,7 @@ def test_index_examples():
     assert index(Subset(7, [1, 2, 5]), M) == 0
     assert index(Subset(7, [1, 2, 4]), M) == 1
     for n in (1, 3, 6):
-        assert index(Subset.full(n), Subset.full(n)) == 0
+        assert index(Subset(n, range(1, n + 1)), Subset(n, range(1, n + 1))) == 0
 
 
 def test_index_contract():

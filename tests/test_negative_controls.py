@@ -12,7 +12,9 @@ identity fails on it.  On the upper half, a distinguished facet that deletes
 the last peak over the members instead of the first breaks the triangle
 condition and nothing else, and a chain with a moved or a missing insertion
 fails ``verify`` too.  Under every chain fault, the rank check's push of the
-families lists what the per-support enumeration lists.
+families lists what the per-support enumeration lists.  A script row that
+removes the wrong variable, or a missing row, fails the Hilbert identity and
+the family sizes; a script in another order is no fault.
 """
 
 from itertools import product
@@ -262,7 +264,7 @@ def _last_pivot_scan(n, mask):
 
 
 _real_scan = bits.scan
-_CACHES = (bits.match_tables, bits.k_subset_table, decomposition._script)
+_CACHES = (bits.match_tables, bits.k_subset_table)
 
 
 def _faulted(monkeypatch, name, fault):
@@ -387,3 +389,60 @@ def test_even_families_skip_a_stop_inside_g(insertion_inside_g, n, k):
     # a stop whose next insertion is a member of g meets no support, in the
     # push as in the per-support enumeration
     assert _families_equal_members(n, k)
+
+
+_real_script = decomposition._script
+
+
+def _removed_off_by_one(n, k):
+    """``decomposition._script`` with a producer fault: the first row whose
+    removed element r has r < n and r + 1 outside S removes r + 1 instead."""
+    rows = list(_real_script(n, k))
+    i = next(i for i, (s, r, _) in enumerate(rows) if r is not None and r < n and not s >> r & 1)
+    s, r, g = rows[i]
+    rows[i] = (s, r + 1, g)
+    return tuple(rows)
+
+
+def _dropped_summand(n, k):
+    """``decomposition._script`` with a producer fault: the middle row is
+    missing."""
+    rows = list(_real_script(n, k))
+    del rows[len(rows) // 2]
+    return tuple(rows)
+
+
+# per fault and (n, k): Hilbert failures, also the family-size mismatches
+_SCRIPT_FAULT_FAILURES = {
+    _removed_off_by_one: {(6, 3): 4, (8, 4): 8, (9, 4): 16},
+    _dropped_summand: {(6, 3): 4, (8, 4): 16, (9, 4): 16},
+}
+
+
+@pytest.fixture(params=list(_SCRIPT_FAULT_FAILURES), ids=lambda fault: fault.__name__.strip("_"))
+def script_fault(monkeypatch, request):
+    monkeypatch.setattr(decomposition, "_script", request.param)
+    yield request.param
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4), (9, 4)])
+def test_script_fault_fails_verify(script_fault, n, k):
+    # the summand counts come from the script, the families, facets and sign
+    # rows from the chains: a summand that removes the wrong variable, or a
+    # missing one, fails the Hilbert identity and the family sizes alone
+    rep = verify_stanley(n, k, check_rank=True)
+    assert not rep.passed
+    failing = _SCRIPT_FAULT_FAILURES[script_fault][n, k]
+    assert rep.counts["hilbert_failures"] == rep.counts["family_size_mismatches"] == failing
+    assert rep.counts["triangle_violations"] == rep.counts["rank_failures"] == 0
+    assert rep.counts["rank_checked"] == rep.counts["supports"]
+    assert rep.counts["min_Z"] == n - 1
+    assert len(rep.failures) == failing
+
+
+def test_script_order_is_not_a_fault(monkeypatch):
+    # a direct sum has no order: the script in descending squashed order
+    # passes verify, and only the listing of decompose changes
+    monkeypatch.setattr(decomposition, "_script", lambda n, k: _real_script(n, k)[::-1])
+    for n, k in ((6, 3), (8, 4), (9, 4)):
+        assert verify_stanley(n, k, check_rank=True).passed

@@ -1,4 +1,4 @@
-"""Subset type, lattice paths, and the two orders."""
+"""Subset type, lattice paths, and squashed order."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,30 +6,13 @@ from hypothesis import given, strategies as st
 from koszuldepth.subsets import (
     MAX_N,
     Subset,
-    chi,
     format_subset,
     lattice_path,
-    lex_less,
     parse_subset,
     squashed_less,
 )
 
 from helpers import all_element_sets, naive_path, naive_squashed_precedes
-
-
-def test_chi_examples():
-    g = Subset(3, [1, 3])
-    assert chi(g, 0) == 0
-    assert chi(g, 2) == -1
-    assert chi(g, 3) == 1
-
-
-def test_chi_range_guard():
-    g = Subset(3, [1, 3])
-    with pytest.raises(ValueError):
-        chi(g, 4)
-    with pytest.raises(ValueError):
-        chi(g, -1)
 
 
 def test_lattice_path_examples():
@@ -43,7 +26,7 @@ def test_lattice_path_examples():
     assert (p.alpha, p.nu, p.mu) == (0, 0, 0)
 
     for n in (1, 5, 16):
-        p = lattice_path(Subset.full(n))
+        p = lattice_path(Subset(n, range(1, n + 1)))
         assert p.heights == tuple(range(n + 1))
         assert (p.alpha, p.nu, p.mu) == (n, n, n)
 
@@ -120,14 +103,6 @@ def test_squashed_size_mismatch_rejected():
         squashed_less(Subset(4, [1]), Subset(4, [1, 2]))
 
 
-def test_lex_examples():
-    assert lex_less(Subset(5, [1, 2, 5]), Subset(5, [1, 3, 4]))
-    assert not lex_less(Subset(5, [2, 3]), Subset(5, [2, 3]))
-    assert not lex_less(Subset(5, [1, 4]), Subset(5, [1, 3]))
-    with pytest.raises(ValueError):
-        lex_less(Subset(5, [1]), Subset(5, [1, 2]))
-
-
 def test_ground_validation():
     with pytest.raises(ValueError):
         Subset(0)
@@ -142,8 +117,6 @@ def test_ground_validation():
 def test_mixed_grounds_rejected():
     with pytest.raises(ValueError):
         squashed_less(Subset(3, [1]), Subset(4, [1]))
-    with pytest.raises(ValueError):
-        Subset(3, [1]).issubset(Subset(4, [1, 2]))
 
 
 def test_mask_roundtrip():
