@@ -108,7 +108,8 @@ def test_generator_is_the_scaled_boundary(n):
             expected = []
             for j, d in enumerate(members, start=1):
                 basis = tuple(e for e in members if e != d)
-                coeff = indicator(Subset(n, s_elems - g_elems | {d}))
+                monomial = s_elems - g_elems | {d}
+                coeff = Multidegree(n, [int(i in monomial) for i in range(1, n + 1)])
                 expected.append((sum(1 << (b - 1) for b in basis), basis, (-1) ** (j + 1), coeff))
             expected.sort(reverse=True, key=lambda t: t[0])
             got = generator_m(Subset(n, s_elems), Subset(n, g_elems))
