@@ -16,16 +16,14 @@ holds memory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .subsets import check_ground
 
 
-@dataclass(frozen=True)
-class MatchTables:
+class MatchTables(NamedTuple):
     n: int
     psi: tuple[int | None, ...]
     phi: tuple[int | None, ...]

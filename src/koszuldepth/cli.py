@@ -10,11 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import checks, decomposition, matching
 from .report import Report
 from .subsets import Subset, check_ground, lattice_path, parse_subset
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """The pool for ``verify --jobs``, imported on first use: only a run that
+    starts one pays for importing ``concurrent.futures``."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(*args, **kwargs)
 
 
 def render_path(G: Subset) -> list[str]:

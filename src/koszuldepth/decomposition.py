@@ -13,11 +13,10 @@ argument rests on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import comb
 from operator import ne
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import matching
 # match_tables, phi_index and lattice_path are unused here, but the benchmark
@@ -43,8 +42,7 @@ def require_upper_half(n: int, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(NamedTuple):
     """One Stanley space: the variables Z acting on the generator m of degree S."""
 
     S: Subset
@@ -54,21 +52,18 @@ class Summand:
     m: KoszulChain
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     n: int
     k: int
     summands: tuple[Summand, ...]
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     G: Subset
     index: int
 
 
-@dataclass(frozen=True)
-class ContributionFamily:
+class ContributionFamily(NamedTuple):
     """The k-subsets of M contributing at any multidegree with support M,
     with their indices, ascending in squashed order."""
 
@@ -77,14 +72,12 @@ class ContributionFamily:
     members: tuple[FamilyMember, ...]
 
 
-@dataclass(frozen=True)
-class TriangleReport:
+class TriangleReport(NamedTuple):
     passed: bool
     violation: tuple[Subset, Subset] | None = None
 
 
-@dataclass(frozen=True)
-class StepCheck:
+class StepCheck(NamedTuple):
     """Outcome of the index-increment check on one (M, G, H) triple."""
 
     status: str  # "pass" | "fail" | "skip"

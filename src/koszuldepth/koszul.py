@@ -8,16 +8,16 @@ questions therefore reduce to sign matrices over the basis subsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
-from .subsets import Subset, same_ground
+from .subsets import FrozenValue, Subset, same_ground
 
 
-@dataclass(frozen=True)
-class Multidegree:
+class Multidegree(FrozenValue):
     """A vector of n non-negative exponents grading the polynomial ring."""
 
+    __slots__ = ("n", "exponents")
     n: int
     exponents: tuple[int, ...]
 
@@ -59,8 +59,7 @@ def _squarefree(n: int, mask: int) -> Multidegree:
     return Multidegree(n, ((mask >> i) & 1 for i in range(n)))
 
 
-@dataclass(frozen=True)
-class SignEntry:
+class SignEntry(NamedTuple):
     """The coefficient of basis subset T inside the boundary of basis subset G."""
 
     G: Subset
@@ -85,15 +84,13 @@ def boundary_sign(G: Subset, T: Subset) -> SignEntry | None:
     return SignEntry(G, T, -1 if below % 2 else 1, dropped.bit_length())
 
 
-@dataclass(frozen=True)
-class ChainTerm:
+class ChainTerm(NamedTuple):
     basis: tuple[int, ...]
     sign: int
     coefficient: Multidegree
 
 
-@dataclass(frozen=True)
-class KoszulChain:
+class KoszulChain(NamedTuple):
     """A signed-monomial combination of equal-size wedge basis subsets.
 
     Terms are kept in squashed order of the basis subset, greatest first

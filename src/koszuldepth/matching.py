@@ -12,16 +12,15 @@ against lives in the test suite's helpers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .bits import scan
 # lattice_path is unused here, but the benchmark tracer wraps this module's binding
 from .subsets import Subset, check_ground, lattice_path, same_ground
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Outcome of a partial matching map; undefined is a result, not an error."""
 
     defined: bool

@@ -2,19 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 # counterexamples shown in text output; the rest are counted in one line
 MAX_SHOWN = 20
 
 
-@dataclass
 class Report:
-    name: str
-    passed: bool = True
-    counts: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-    lines: list[str] = field(default_factory=list)
+    """One check's verdict, its counts, failure messages and text lines.
+
+    Workers of ``verify --jobs`` return reports to the parent process, so a
+    report must pickle.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool = True,
+        counts: dict[str, int] | None = None,
+        failures: list[str] | None = None,
+        lines: list[str] | None = None,
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.counts = {} if counts is None else counts
+        self.failures = [] if failures is None else failures
+        self.lines = [] if lines is None else lines
 
     def fail(self, message: str) -> None:
         self.passed = False

@@ -10,8 +10,7 @@ refuses to interact with subsets over a different ground set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 # Hard cap on the ground set size.  Exhaustive sweeps stay well below it;
 # it only guards against accidentally requesting 2^n-sized work.
@@ -25,10 +24,46 @@ def check_ground(n: int) -> None:
         raise ValueError(f"ground set size must lie in 1..{MAX_N}, got {n}")
 
 
-@dataclass(frozen=True)
-class Subset:
+class FrozenValue:
+    """Base of the immutable value types (``Subset``, ``Multidegree``).
+
+    The fields are the slots, set once in ``__init__`` through
+    ``object.__setattr__``; any later assignment raises ``AttributeError``.
+    Equality, hash and repr go by the field values, and pickling rebuilds
+    the value through the class's own validating constructor.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot assign to {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class Subset(FrozenValue):
     """An immutable subset of {1..n} that remembers n."""
 
+    __slots__ = ("n", "elements")
     n: int
     elements: frozenset[int]
 
@@ -76,8 +111,7 @@ def same_ground(a: Subset, b: Subset) -> None:
         raise ValueError(f"mixed ground sets: n={a.n} vs n={b.n}")
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(NamedTuple):
     """Height profile of a subset, with its peak positions.
 
     ``heights[g]`` is the running sum of the incidence steps up to position g,

@@ -1,6 +1,5 @@
 """The exhaustive matching-law sweeps behind the check subcommands."""
 
-import dataclasses
 import random
 
 import pytest
@@ -52,7 +51,7 @@ def test_inverse_law_fails_on_corrupted_tables(monkeypatch):
     psi, phi = list(tables.psi), list(tables.phi)
     assert (psi[0b001111], phi[0b010000]) == (0b000111, 0b010001)
     psi[0b001111] = phi[0b010000] = None
-    corrupted = dataclasses.replace(tables, psi=tuple(psi), phi=tuple(phi))
+    corrupted = tables._replace(psi=tuple(psi), phi=tuple(phi))
     monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
     rep = check_inverse_law(n)
     expected = naive_inverse_failures(corrupted)
@@ -89,7 +88,7 @@ def _patch_tables(monkeypatch, tables, **entries):
     for name, changes in entries.items():
         for mask, value in changes.items():
             maps[name][mask] = value
-    patched = dataclasses.replace(tables, **{name: tuple(v) for name, v in maps.items()})
+    patched = tables._replace(**{name: tuple(v) for name, v in maps.items()})
     monkeypatch.setattr(checks, "match_tables", lambda _n: patched)
     return patched
 
@@ -131,7 +130,7 @@ def _corrupt(rng, tables):
         else:
             wrong, steps_only = rng.randrange(size), False
         maps[name][mask] = wrong
-    corrupted = dataclasses.replace(tables, phi=tuple(maps["phi"]), psi=tuple(maps["psi"]))
+    corrupted = tables._replace(phi=tuple(maps["phi"]), psi=tuple(maps["psi"]))
     return corrupted, steps_only
 
 
@@ -179,7 +178,7 @@ def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle, broken):
             psi[x] = None
     for g, h in zip(cycle, cycle[1:]):
         phi[g], psi[h] = h, g
-    cyclic = dataclasses.replace(tables, phi=tuple(phi), psi=tuple(psi))
+    cyclic = tables._replace(phi=tuple(phi), psi=tuple(psi))
     monkeypatch.setattr(checks, "match_tables", lambda _n: cyclic)
     rep = check_index_equivalence(n)
     assert not rep.passed

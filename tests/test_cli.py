@@ -355,8 +355,12 @@ def test_verify_json(capsys):
 
 
 def test_verify_jobs_flag(capsys):
-    code, out, _ = run(capsys, "verify", "--all-n", "4", "--jobs", "2")
-    assert code == 0 and "PASS" in out
+    # a real pool of two workers, whose executor cli imports on first use,
+    # prints exactly what one process prints
+    serial = run(capsys, "verify", "--all-n", "4", "--jobs", "1")
+    pooled = run(capsys, "verify", "--all-n", "4", "--jobs", "2")
+    assert serial[0] == 0 and "PASS" in serial[1]
+    assert pooled == serial
 
 
 def test_verify_pool_never_exceeds_the_tasks(capsys, monkeypatch):
@@ -494,6 +498,27 @@ def test_benchmark_tracer_smoke_run(workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1])["problems"] == []
+
+
+def test_cli_import_skips_dataclasses_and_the_pool():
+    # every koszuldepth process pays for its imports, and the command line
+    # needs neither dataclasses nor concurrent.futures to start; only a pool
+    # run imports the executor.  Only modules new after the interpreter's own
+    # start-up count, so a site hook that loads either does not trip the test.
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import koszuldepth.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "koszuldepth.cli" in loaded
+    assert {"dataclasses", "concurrent.futures"} & loaded == set()
 
 
 def test_module_entrypoint():
