@@ -7,13 +7,14 @@ worker processes without changing the emitted text.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
-
+# the package first: compiling it before argparse and json are resident keeps peak RSS lower
 from . import checks, decomposition, matching
 from .report import Report
 from .subsets import Subset, check_ground, lattice_path, parse_subset
+
+import argparse
+import json
+import sys
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -180,7 +181,7 @@ def cmd_verify(args) -> int:
         tasks = [
             (n, k, args.box, rank)
             for n in range(2, args.all_n + 1)
-            for k in range(max(n // 2, 1), n)
+            for k in decomposition.upper_half(n)
         ]
     else:
         if args.n is None or args.k is None:
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the boxed dimension check with entries up to D "
                     "(recommended maxima: n = 9 at D = 2, n = 12 at D = 1)")
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
-                    help="exact rank checking (auto: on for n <= 15)")
+                    help=f"exact rank checking (auto: on for n <= {decomposition.RANK_AUTO_MAX_N})")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
                     help="worker processes for sweeps, at most one per (n, k) task")
     _add_format(sp)

@@ -30,12 +30,20 @@ from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generat
 from .report import Report
 from .subsets import Subset, lattice_path, same_ground
 
+# rank is checked by default up to this n
+RANK_AUTO_MAX_N = 15
+
+
+def upper_half(n: int) -> range:
+    """The k the construction covers: floor(n/2) <= k < n, and k >= 1."""
+    return range(max(n // 2, 1), n)
+
 
 def require_upper_half(n: int, k: int) -> None:
     """The construction covers only floor(n/2) <= k < n; fail fast outside it."""
     if not isinstance(k, int) or isinstance(k, bool):
         raise ValueError(f"k must be an integer, got {k!r}")
-    if not (1 <= k and n // 2 <= k < n):
+    if k not in upper_half(n):
         raise ValueError(
             f"out of range: the construction needs floor(n/2) <= k < n "
             f"(and k >= 1), got n={n}, k={k}; the lower half is not covered"
@@ -137,14 +145,6 @@ def _z_mask(n: int, removed: int | None) -> int:
     return full if removed is None else full & ~(1 << (removed - 1))
 
 
-def _family_from_masks(M: Subset, k: int, members: list[tuple[int, int]]) -> ContributionFamily:
-    return ContributionFamily(
-        M,
-        k,
-        tuple(FamilyMember(Subset.from_mask(M.n, g), ind) for g, ind in members),
-    )
-
-
 def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
     """The family of support M: its k-subsets of even index, ascending, which
     are exactly the generators of the summands meeting M (README, lemma 1)."""
@@ -153,7 +153,10 @@ def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
         raise ValueError(f"support over n={M.n}, expected {n}")
     if len(M) < k:
         raise ValueError(f"support {M} has fewer than k={k} elements")
-    return _family_from_masks(M, k, even_members(k_subset_table(n, k), M.mask, k))
+    members = even_members(k_subset_table(n, k), M.mask, k)
+    return ContributionFamily(
+        M, k, tuple(FamilyMember(Subset.from_mask(n, g), ind) for g, ind in members)
+    )
 
 
 def distinguished_subset(G: Subset) -> Subset:
@@ -435,14 +438,14 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     (one call per support size), the family sizes with C(|M|-1, k-1).  The
     triangle condition is decided by pairs of k-subsets, and each violating
     pair is named with its least witness support.  None of these visits a
-    support; only rank does (by default for n <= 15): mod 2, on families
-    from one push of the chains and rows from one table of facets, with
-    Bareiss where that fails.  The depth conclusion cites the upper bound
-    rather than verifying it.
+    support; only rank does (by default for n <= ``RANK_AUTO_MAX_N``): mod
+    2, on families from one push of the chains and rows from one table of
+    facets, with Bareiss on the support's family where that fails.  The
+    depth conclusion cites the upper bound rather than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
-        check_rank = n <= 15
+        check_rank = n <= RANK_AUTO_MAX_N
     rep = Report(f"stanley decomposition n={n} k={k}")
     script = _script(n, k)
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
@@ -479,8 +482,7 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
             # is full rank over Q; only a deficiency mod 2 needs Bareiss
             if not rank_full_mod2(map(rows.__getitem__, families[m_mask])):
                 M = Subset.from_mask(n, m_mask)
-                family = _family_from_masks(M, k, even_members(k_subset_table(n, k), m_mask, k))
-                if not rank_full(sign_matrix(family)):
+                if not rank_full(sign_matrix(contribution_family(n, k, M))):
                     rank_failures += 1
                     rep.fail(f"support {M}: sign matrix rank deficient")
 

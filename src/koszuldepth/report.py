@@ -13,19 +13,12 @@ class Report:
     report must pickle.
     """
 
-    def __init__(
-        self,
-        name: str,
-        passed: bool = True,
-        counts: dict[str, int] | None = None,
-        failures: list[str] | None = None,
-        lines: list[str] | None = None,
-    ) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.passed = passed
-        self.counts = {} if counts is None else counts
-        self.failures = [] if failures is None else failures
-        self.lines = [] if lines is None else lines
+        self.passed = True
+        self.counts: dict[str, int] = {}
+        self.failures: list[str] = []
+        self.lines: list[str] = []
 
     def fail(self, message: str) -> None:
         self.passed = False

@@ -167,21 +167,16 @@ def parse_subset(n: int, text: str) -> Subset:
     s = text.strip()
     if s.startswith("{") and s.endswith("}"):
         inner = s[1:-1].strip()
-        if not inner:
-            return Subset(n)
-        parts = [p.strip() for p in inner.split(",")]
         try:
-            elems = [int(p) for p in parts]
+            elems = [int(p) for p in inner.split(",")] if inner else []
         except ValueError:
             raise ValueError(f"cannot parse subset from {text!r}") from None
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"duplicate elements in {text!r}")
-        return Subset(n, elems)
-    if s.isdigit():
+    elif s.isdigit():
         if n > 9:
             raise ValueError(f"compact digit form needs n <= 9 (n={n}); use braces")
         elems = [int(c) for c in s]
-        if len(set(elems)) != len(elems):
-            raise ValueError(f"duplicate elements in {text!r}")
-        return Subset(n, elems)
-    raise ValueError(f"cannot parse subset from {text!r}")
+    else:
+        raise ValueError(f"cannot parse subset from {text!r}")
+    if len(set(elems)) != len(elems):
+        raise ValueError(f"duplicate elements in {text!r}")
+    return Subset(n, elems)

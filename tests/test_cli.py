@@ -521,6 +521,22 @@ def test_cli_import_skips_dataclasses_and_the_pool():
     assert {"dataclasses", "concurrent.futures"} & loaded == set()
 
 
+def test_package_import_loads_only_the_named_module():
+    # the package binds nothing but its version, so importing one module
+    # compiles no other
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = (
+        "import sys\n"
+        "import koszuldepth.subsets\n"
+        "print('\\n'.join(m for m in sys.modules if m.startswith('koszuldepth.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["koszuldepth.subsets"]
+
+
 def test_module_entrypoint():
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
