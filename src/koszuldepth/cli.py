@@ -7,14 +7,20 @@ worker processes without changing the emitted text.
 
 from __future__ import annotations
 
-# the package first: compiling it before argparse and json are resident keeps peak RSS lower
+# the package first: compiling it before argparse is resident keeps peak RSS lower
 from . import checks, decomposition, matching
 from .report import Report
 from .subsets import Subset, check_ground, lattice_path, parse_subset
 
 import argparse
-import json
 import sys
+
+
+def _dumps(obj) -> str:
+    """``json.dumps``, imported on first use: only ``--format json`` output
+    pays for importing ``json``."""
+    import json
+    return json.dumps(obj)
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -59,7 +65,7 @@ def cmd_path(args) -> int:
     down = matching.psi(G)
     up = matching.phi(G)
     if args.format == "json":
-        print(json.dumps({
+        print(_dumps({
             "n": G.n,
             "G": list(G),
             "heights": list(path.heights),
@@ -87,7 +93,7 @@ def cmd_match(args) -> int:
     """``psi`` or ``phi``, named by the subcommand."""
     result = getattr(matching, args.command)(parse_subset(args.n, args.set))
     if args.format == "json":
-        print(json.dumps({
+        print(_dumps({
             "defined": result.defined,
             "value": list(result.value) if result.defined else None,
             "pivot": result.pivot,
@@ -102,7 +108,7 @@ def cmd_index(args) -> int:
     G = parse_subset(args.n, args.G)
     value = matching.index(G, M)
     if args.format == "json":
-        print(json.dumps({"index": value}))
+        print(_dumps({"index": value}))
     else:
         print(value)
     return 0
@@ -121,18 +127,18 @@ def cmd_family(args) -> int:
                 {
                     "G": list(mem.G),
                     "index": mem.index,
-                    "distinguished": list(decomposition.distinguished_subset(mem.G)),
+                    "distinguished": list(matching.psi_tilde(mem.G).value),
                 }
                 for mem in family.members
             ],
         }
         if matrix is not None:
             payload["sign_matrix"] = matrix
-        print(json.dumps(payload))
+        print(_dumps(payload))
         return 0
     print(f"family for M = {M}, n = {args.n}, k = {args.k}: {len(family.members)} members")
     for mem in family.members:
-        t = decomposition.distinguished_subset(mem.G)
+        t = matching.psi_tilde(mem.G).value
         print(f"{mem.G}  index {mem.index}  distinguished {t}")
     if matrix is not None:
         print("sign matrix (columns: (k-1)-subsets of M in squashed order):")
@@ -144,7 +150,7 @@ def cmd_family(args) -> int:
 def cmd_decompose(args) -> int:
     decomp = decomposition.build_decomposition(args.n, args.k)
     if args.format == "json":
-        print(json.dumps(decomposition.decomposition_to_dict(decomp)))
+        print(_dumps(decomposition.decomposition_to_dict(decomp)))
         return 0
     print(f"stanley decomposition of M({args.n},{args.k}): {len(decomp.summands)} summands")
     for sm in decomp.summands:
@@ -154,15 +160,22 @@ def cmd_decompose(args) -> int:
 
 
 def _verify_one(task) -> Report:
-    """The report of one (n, k) task, with the ``--box`` check merged in."""
+    """The report of one (n, k) task, with the ``--box`` check merged in.
+
+    ``verify_stanley`` writes its conclusion last, and only on a pass; it
+    is held back over the box check and kept only if that passes too.
+    """
     n, k, box, rank = task
     rep = decomposition.verify_stanley(n, k, check_rank=rank)
     if box is not None:
+        conclusion = rep.lines.pop() if rep.passed else None
         box_rep = decomposition.verify_box(n, k, box)
         rep.passed = rep.passed and box_rep.passed
         rep.lines.extend(box_rep.lines)
         rep.failures.extend(box_rep.failures)
         rep.counts.update({f"box_{key}": v for key, v in box_rep.counts.items()})
+        if rep.passed:
+            rep.lines.append(conclusion)
     return rep
 
 
@@ -201,7 +214,7 @@ def cmd_verify(args) -> int:
     all_passed = all(r.passed for r in results)
     if args.format == "json":
         reports = [{**r.to_json(), "lines": r.lines} for r in results]
-        print(json.dumps({"passed": all_passed, "reports": reports}))
+        print(_dumps({"passed": all_passed, "reports": reports}))
     else:
         for r in results:
             print(r.text())
@@ -221,7 +234,7 @@ def _run_checks(n: int, which: list[str], fmt: str) -> int:
     reports: list[Report] = [_CHECKS[name](n) for name in which]
     ok = all(r.passed for r in reports)
     if fmt == "json":
-        print(json.dumps({"passed": ok, "reports": [r.to_json() for r in reports]}))
+        print(_dumps({"passed": ok, "reports": [r.to_json() for r in reports]}))
     else:
         for r in reports:
             print(r.text())

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from itertools import product
 from math import comb
-from operator import ne
+from operator import itemgetter, ne
 from typing import Iterator, NamedTuple
 
-from . import matching
 # match_tables, phi_index and lattice_path are unused here, but the benchmark
 # tracer wraps this module's bindings
 from .bits import chain_index, k_subset_table, match_tables, phi_index, sized_submasks
@@ -108,16 +107,11 @@ def build_decomposition(n: int, k: int) -> Decomposition:
     return Decomposition(n, k, tuple(summands))
 
 
-def contributes(summand: Summand, m: Multidegree) -> bool:
-    """Whether the summand has a non-zero component in multidegree m."""
-    if summand.S.n != m.n:
-        raise ValueError(f"multidegree over n={m.n}, summand over n={summand.S.n}")
-    return _contributes(summand.S.mask, summand.Z.mask, *m.masks())
-
-
-def _contributes(s: int, z: int, support: int, repeated: int) -> bool:
-    """:func:`contributes` on masks: m - 1_S, defined when S lies in the
-    support, is supported on (support - S) | (S & repeated)."""
+def contributes(s: int, z: int, support: int, repeated: int) -> bool:
+    """Whether the summand with generator degree S and variables Z (masks
+    ``s`` and ``z``) has a non-zero component in a multidegree m, given
+    ``m.masks()``: m - 1_S, defined when S lies in the support, is supported
+    on (support - S) | (S & repeated)."""
     return not s & ~support and not (support & ~s | s & repeated) & ~z
 
 
@@ -136,7 +130,10 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
         for g, (added, _, _) in k_subset_table(n, k).items()
         for prefix, a in even_stops(added)
     ]
-    rows.sort(key=lambda row: (row[0].bit_count(), row[0]))
+    # by level, then by mask: two stable sorts keyed on ints the rows already
+    # hold, where a key tuple per row raised the peak memory of `verify`
+    rows.sort(key=itemgetter(0))
+    rows.sort(key=lambda row: row[0].bit_count())
     return tuple(rows)
 
 
@@ -157,11 +154,6 @@ def contribution_family(n: int, k: int, M: Subset) -> ContributionFamily:
     return ContributionFamily(
         M, k, tuple(FamilyMember(Subset.from_mask(n, g), ind) for g, ind in members)
     )
-
-
-def distinguished_subset(G: Subset) -> Subset:
-    """The facet a family member claims for itself in the triangle condition."""
-    return matching.psi_tilde(G).value
 
 
 def triangle_check(family: ContributionFamily) -> TriangleReport:
@@ -250,40 +242,32 @@ def rank_full(matrix: list[list[int]]) -> bool:
     return rank == nrows
 
 
-def verify_hilbert(decomp: Decomposition, mode: str = "squarefree", box_depth: int = 2) -> Report:
-    """Check that the summands account for every graded dimension.
-
-    squarefree mode: for every support M the number of contributing summands
-    must equal the dimension oracle at the indicator multidegree.  box mode:
-    the same equality at every multidegree with entries up to ``box_depth``.
-    """
-    n, k = decomp.n, decomp.k
-    if mode == "squarefree":
-        counts = contribution_counts(n, [(sm.S.mask, sm.removed) for sm in decomp.summands])
-        return _squarefree_hilbert(n, k, counts)
-    if mode != "box":
+def verify_hilbert(decomp: Decomposition, mode: str = "squarefree") -> Report:
+    """Check that the summands account for every squarefree graded dimension:
+    for every support M the number of contributing summands must equal the
+    dimension oracle at the indicator multidegree.  ``squarefree`` is the
+    only mode; the box identity is :func:`verify_box`."""
+    if mode != "squarefree":
         raise ValueError(f"unknown mode {mode!r}")
-    return _box_hilbert(n, k, [(sm.S.mask, sm.Z.mask) for sm in decomp.summands], box_depth)
+    counts = contribution_counts(decomp.n, [(sm.S.mask, sm.removed) for sm in decomp.summands])
+    return _squarefree_hilbert(decomp.n, decomp.k, counts)
 
 
 def verify_box(n: int, k: int, box_depth: int) -> Report:
-    """:func:`verify_hilbert` in box mode on the construction's masks,
-    without building its summands."""
+    """The box identity: at every multidegree with entries up to
+    ``box_depth``, the number of contributing summands must equal the
+    dimension oracle.  Runs on the construction's masks, without building
+    its summands."""
     require_upper_half(n, k)
-    pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _script(n, k)]
-    return _box_hilbert(n, k, pairs, box_depth)
-
-
-def _box_hilbert(n: int, k: int, pairs: list[tuple[int, int]], box_depth: int) -> Report:
-    """The box identity, given each summand's (S, Z) masks."""
     if not isinstance(box_depth, int) or isinstance(box_depth, bool) or box_depth < 0:
         raise ValueError(f"box depth must be an integer >= 0, got {box_depth!r}")
+    pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _script(n, k)]
     rep = Report(f"hilbert identity n={n} k={k} (box)")
     checked = 0
     for exps in product(range(box_depth + 1), repeat=n):
         m = Multidegree(n, exps)
         support, repeated = m.masks()
-        got = sum(_contributes(s, z, support, repeated) for s, z in pairs)
+        got = sum(contributes(s, z, support, repeated) for s, z in pairs)
         expect = dim_oracle(n, k, m)
         checked += 1
         if got != expect:

@@ -32,14 +32,6 @@ class Multidegree(FrozenValue):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "exponents", exps)
 
-    def support(self) -> Subset:
-        return Subset.from_mask(self.n, self.masks()[0])
-
-    def plus(self, other: Multidegree) -> Multidegree:
-        if self.n != other.n:
-            raise ValueError("mixed ground sets")
-        return Multidegree(self.n, (a + b for a, b in zip(self.exponents, other.exponents)))
-
     def masks(self) -> tuple[int, int]:
         """``(support, repeated)``: bit i-1 is set where exponent i is at
         least 1, respectively at least 2."""
@@ -48,11 +40,6 @@ class Multidegree(FrozenValue):
 
     def __str__(self) -> str:
         return "(" + ",".join(str(e) for e in self.exponents) + ")"
-
-
-def indicator(S: Subset) -> Multidegree:
-    """The squarefree multidegree with exponent 1 exactly on S."""
-    return _squarefree(S.n, S.mask)
 
 
 def _squarefree(n: int, mask: int) -> Multidegree:
@@ -118,15 +105,9 @@ class KoszulChain(NamedTuple):
         return self.text()
 
 
-def boundary(G: Subset) -> KoszulChain:
-    """Boundary of the wedge basis vector indexed by G: its generator of
-    multidegree G, so every term has total multidegree the indicator of G."""
-    return generator_m(G, G)
-
-
 def generator_m(S: Subset, G: Subset) -> KoszulChain:
     """The chosen generator of multidegree S: the boundary of G scaled by the
-    monomial on S minus G.
+    monomial on S minus G (the boundary itself when S = G).
 
     Dropping the j-th smallest element of G contributes sign (-1)^(j+1) and
     the variable of the dropped element.  The terms come out in ascending
@@ -145,29 +126,6 @@ def generator_m(S: Subset, G: Subset) -> KoszulChain:
         for j, d in enumerate(members, start=1)
     )
     return KoszulChain(n, tuple(terms))
-
-
-def term_multidegree(term: ChainTerm, n: int) -> Multidegree:
-    """Total multidegree of a term: coefficient plus the basis indicator."""
-    return term.coefficient.plus(indicator(Subset(n, term.basis)))
-
-
-def boundary_squared(G: Subset) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """Apply the boundary twice and accumulate coefficients.
-
-    Returns the non-zero accumulated coefficients keyed by (basis, exponents);
-    an empty dict certifies that the composite vanishes on G.
-    """
-    if len(G) < 2:
-        raise ValueError("boundary_squared needs |G| >= 2")
-    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    for t1 in boundary(G).terms:
-        inner = Subset(G.n, t1.basis)
-        for t2 in boundary(inner).terms:
-            coeff = t1.coefficient.plus(t2.coefficient)
-            key = (t2.basis, coeff.exponents)
-            acc[key] = acc.get(key, 0) + t1.sign * t2.sign
-    return {k: v for k, v in acc.items() if v != 0}
 
 
 def dim_oracle(n: int, k: int, m: Multidegree) -> int:

@@ -1,5 +1,4 @@
-"""Subsets of {1..n}: how a set is parsed and printed, its lattice path,
-and squashed order.
+"""Subsets of {1..n}: how a set is parsed and printed, and its lattice path.
 
 Every check runs on masks (``Subset.mask``, ``Subset.from_mask``); no other
 module reads ``Subset.elements``.  The lattice path of G steps up at the
@@ -136,21 +135,6 @@ def lattice_path(G: Subset) -> LatticePath:
     alpha = max(heights[g] for g in candidates)
     peaks = tuple(g for g in candidates if heights[g] == alpha)
     return LatticePath(tuple(heights), peaks, alpha, peaks[0], peaks[-1])
-
-
-def squashed_less(G: Subset, H: Subset) -> bool:
-    """True iff G strictly precedes H in squashed (colex) order.
-
-    For equal-size sets this holds exactly when the largest element of the
-    symmetric difference lies in H.  Equivalent to comparing bitmasks.
-    """
-    same_ground(G, H)
-    if len(G) != len(H):
-        raise ValueError(f"squashed order compares equal sizes, got {len(G)} and {len(H)}")
-    diff = G.elements ^ H.elements
-    if not diff:
-        return False
-    return max(diff) in H.elements
 
 
 def format_subset(G: Subset) -> str:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written from first principles (plain loops,
 brute enumeration, sympy for exact rank, list elimination for rank mod 2) so
-that it shares no code path with the package under test.
+that it shares no code path with the package under test.  The chain oracles
+at the end are the exception: they build on the package's chain builder.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ from itertools import combinations
 from typing import NamedTuple
 
 import sympy
+
+from koszuldepth.koszul import KoszulChain, Multidegree, generator_m
+from koszuldepth.subsets import Subset
 
 
 def naive_path(n: int, elements: set[int]):
@@ -389,3 +393,38 @@ def naive_least_witnesses(n: int, k: int, facet=naive_facet) -> dict[tuple[int, 
                     key = (index[tuple(sorted(G))], index[tuple(sorted(H))], len(M), _mask(M))
                     best[pair] = min(best.get(pair, key), key)
     return {pair: key[-1] for pair, key in best.items()}
+
+
+# Chain oracles.  Unlike the rest of this file they compose the package's one
+# chain builder, ``koszul.generator_m``: the boundary of G is its generator of
+# multidegree G, and degrees are added exponent by exponent.
+
+
+def boundary(G: Subset) -> KoszulChain:
+    """The boundary of the wedge basis vector indexed by G."""
+    return generator_m(G, G)
+
+
+def indicator(S: Subset) -> Multidegree:
+    """The squarefree multidegree with exponent 1 exactly on S."""
+    return Multidegree(S.n, [int(e in S) for e in range(1, S.n + 1)])
+
+
+def plus(a: Multidegree, b: Multidegree) -> Multidegree:
+    return Multidegree(a.n, [x + y for x, y in zip(a.exponents, b.exponents)])
+
+
+def term_multidegree(term, n: int) -> Multidegree:
+    """Total multidegree of a chain term: coefficient plus the basis indicator."""
+    return plus(term.coefficient, indicator(Subset(n, term.basis)))
+
+
+def boundary_squared(G: Subset) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The boundary applied twice to G, as its non-zero coefficients keyed by
+    (basis, exponents); an empty dict certifies that it vanishes on G."""
+    acc: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for t1 in boundary(G).terms:
+        for t2 in boundary(Subset(G.n, t1.basis)).terms:
+            key = (t2.basis, plus(t1.coefficient, t2.coefficient).exponents)
+            acc[key] = acc.get(key, 0) + t1.sign * t2.sign
+    return {key: v for key, v in acc.items() if v}

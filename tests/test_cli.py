@@ -346,6 +346,32 @@ def test_verify_all_n(capsys):
     assert out.count("PASS") == sum(1 for n in range(2, 6) for _ in range(max(n // 2, 1), n))
 
 
+def test_verify_box_conclusion_comes_last(capsys, monkeypatch):
+    # the conclusion follows every check, the box check included
+    code, out, _ = run(capsys, "verify", "4", "2", "--box", "2")
+    lines = out.splitlines()
+    assert code == 0
+    assert lines[-3] == "hilbert identity (box): 81 degrees checked, 0 failures"
+    assert lines[-2].startswith("conclusion: sdepth M(4,2) >= 3 verified")
+    assert lines[-1] == "PASS stanley decomposition n=4 k=2"
+
+
+def test_verify_box_failure_draws_no_conclusion(capsys, monkeypatch):
+    # an oracle wrong only off the squarefree degrees fails the box check
+    # alone, and then no conclusion is drawn
+    real = decomposition.dim_oracle
+    monkeypatch.setattr(
+        decomposition, "dim_oracle",
+        lambda n, k, m: real(n, k, m) + (max(m.exponents) >= 2),
+    )
+    code, out, _ = run(capsys, "verify", "4", "2", "--box", "2")
+    assert code == 1
+    assert "hilbert identity (box): 81 degrees checked, 65 failures" in out
+    assert "hilbert identity (squarefree): 15 degrees checked, 0 failures" in out
+    assert "conclusion:" not in out
+    assert out.endswith("FAIL stanley decomposition n=4 k=2\n")
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "5", "3", "--format", "json")
     assert code == 0
@@ -502,9 +528,10 @@ def test_benchmark_tracer_smoke_run(workload):
 
 def test_cli_import_skips_dataclasses_and_the_pool():
     # every koszuldepth process pays for its imports, and the command line
-    # needs neither dataclasses nor concurrent.futures to start; only a pool
-    # run imports the executor.  Only modules new after the interpreter's own
-    # start-up count, so a site hook that loads either does not trip the test.
+    # needs neither dataclasses nor concurrent.futures nor json to start;
+    # only a pool run imports the executor, and only JSON output json.  Only
+    # modules new after the interpreter's own start-up count, so a site hook
+    # that loads one of them does not trip the test.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     script = (
         "import sys\n"
@@ -518,7 +545,7 @@ def test_cli_import_skips_dataclasses_and_the_pool():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "koszuldepth.cli" in loaded
-    assert {"dataclasses", "concurrent.futures"} & loaded == set()
+    assert {"dataclasses", "concurrent.futures", "json"} & loaded == set()
 
 
 def test_package_import_loads_only_the_named_module():

@@ -11,12 +11,10 @@ from koszuldepth.decomposition import (
     ContributionFamily,
     FamilyMember,
     StepCheck,
-    Summand,
     build_decomposition,
     contributes,
     contribution_family,
     decomposition_to_dict,
-    distinguished_subset,
     index_step_check,
     index_step_sweep,
     rank_full,
@@ -24,12 +22,13 @@ from koszuldepth.decomposition import (
     require_upper_half,
     sign_matrix,
     triangle_check,
+    verify_box,
     verify_hilbert,
     verify_stanley,
 )
-from koszuldepth import decomposition, koszul
+from koszuldepth import decomposition, koszul, matching
 from koszuldepth.bits import k_subset_table, match_tables
-from koszuldepth.koszul import Multidegree, indicator
+from koszuldepth.koszul import Multidegree
 from koszuldepth.maskchecks import (
     contribution_counts, even_families, even_members, facet_row_table, triangle_pairs
 )
@@ -129,13 +128,15 @@ def test_decomposition_dict_schema():
 
 def test_contributes_examples():
     d = build_decomposition(3, 1)
-    by_S = {sm.S: sm for sm in d.summands}
-    assert contributes(by_S[S(3, [2])], Multidegree(3, (1, 1, 0)))
-    assert not contributes(by_S[S(3, [1])], Multidegree(3, (1, 1, 0)))
-    for sm in d.summands:
-        assert contributes(sm, indicator(sm.S))
-    with pytest.raises(ValueError):
-        contributes(d.summands[0], Multidegree(4, (1, 0, 0, 0)))
+    by_S = {sm.S.mask: sm.Z.mask for sm in d.summands}
+    m = Multidegree(3, (1, 1, 0)).masks()
+    assert contributes(0b010, by_S[0b010], *m)
+    assert not contributes(0b001, by_S[0b001], *m)
+    # every summand meets its own squarefree degree, and no squarefree
+    # degree whose support misses part of S
+    for s, z in by_S.items():
+        assert contributes(s, z, s, 0)
+        assert not contributes(s, z, s & (s - 1), 0)
 
 
 def test_contribution_family_worked_example():
@@ -149,7 +150,7 @@ def test_contribution_family_worked_example():
         (S(7, [1, 4, 7]), 2),
         (S(7, [2, 5, 7]), 0),
     ]
-    assert [distinguished_subset(mem.G) for mem in fam.members] == [
+    assert [matching.psi_tilde(mem.G).value for mem in fam.members] == [
         S(7, [1, 5]),
         S(7, [4, 5]),
         S(7, [2, 4]),
@@ -219,7 +220,7 @@ def test_verify_stanley_does_no_per_pair_work(monkeypatch):
     for s in (1, 5, n):
         monkeypatch.setattr(
             decomposition, "dim_oracle",
-            lambda n_, k_, m, s=s: koszul.dim_oracle(n_, k_, m) + (len(m.support()) == s),
+            lambda n_, k_, m, s=s: koszul.dim_oracle(n_, k_, m) + (m.masks()[0].bit_count() == s),
         )
         rep = verify_stanley(n, k, check_rank=False)
         assert rep.counts["hilbert_failures"] == comb(n, s)
@@ -492,28 +493,28 @@ def test_verify_hilbert_squarefree_and_box():
     rep = verify_hilbert(d, "squarefree")
     assert rep.passed and rep.counts["supports_checked"] == 7
 
-    rep = verify_hilbert(d, "box", 2)
+    rep = verify_box(3, 1, 2)
     assert rep.passed and rep.counts["multidegrees_checked"] == 27
 
-    with pytest.raises(ValueError):
-        verify_hilbert(d, "cubes")
+    # the box identity has one entry, verify_box
+    for mode in ("box", "cubes"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_hilbert(d, mode)
 
 
 @pytest.mark.parametrize("depth", [-1, 1.5, 2.0, True])
 def test_box_depth_must_be_a_non_negative_integer(depth):
     # a float depth used to reach range() and raise TypeError there
     with pytest.raises(ValueError, match="box depth must be an integer >= 0"):
-        verify_hilbert(build_decomposition(3, 1), "box", depth)
-    with pytest.raises(ValueError, match="box depth must be an integer >= 0"):
-        decomposition.verify_box(3, 1, depth)
+        verify_box(3, 1, depth)
 
 
 def test_verify_hilbert_pointwise_examples():
     d = build_decomposition(3, 1)
     cases = [((1, 1, 0), 1), ((2, 1, 1), 1), ((0, 0, 0), 0)]
     for exps, expected in cases:
-        m = Multidegree(3, exps)
-        assert sum(1 for sm in d.summands if contributes(sm, m)) == expected
+        m = Multidegree(3, exps).masks()
+        assert sum(contributes(sm.S.mask, sm.Z.mask, *m) for sm in d.summands) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 6))
@@ -521,10 +522,11 @@ def test_contributions_depend_only_on_support(n):
     for k in range(max(n // 2, 1), n):
         d = build_decomposition(n, k)
         for exps in product(range(3), repeat=n):
-            m = Multidegree(n, exps)
-            squarefree = indicator(m.support())
-            got = [sm.S for sm in d.summands if contributes(sm, m)]
-            ref = [sm.S for sm in d.summands if contributes(sm, squarefree)]
+            support, repeated = Multidegree(n, exps).masks()
+            got = [sm.S for sm in d.summands
+                   if contributes(sm.S.mask, sm.Z.mask, support, repeated)]
+            # the same at the squarefree degree on that support
+            ref = [sm.S for sm in d.summands if contributes(sm.S.mask, sm.Z.mask, support, 0)]
             assert got == ref
             # every summand of every upper-half (n, k) agrees with exponent arithmetic
             naive = [
@@ -539,13 +541,12 @@ def test_contributes_matches_naive_oracle(n):
     # every S and every Z of at least n - 1 variables; a Z missing an element
     # of S, which no summand has, makes exponents >= 2 on S matter
     sets = [frozenset(e) for e in all_element_sets(n)]
-    degrees = [(exps, Multidegree(n, exps)) for exps in product(range(3), repeat=n)]
+    degrees = [(exps, Multidegree(n, exps).masks()) for exps in product(range(3), repeat=n)]
     for S_set in sets:
         for Z in (z for z in sets if len(z) >= n - 1):
-            # contributes reads only S and Z
-            sm = Summand(S(n, S_set), S(n, Z), None, S(n, S_set), None)
+            s, z = S(n, S_set).mask, S(n, Z).mask
             for exps, m in degrees:
-                assert contributes(sm, m) == naive_contributes(S_set, Z, exps), (S_set, Z, exps)
+                assert contributes(s, z, *m) == naive_contributes(S_set, Z, exps), (S_set, Z, exps)
 
 
 @pytest.mark.parametrize("n", range(1, 6))

@@ -24,7 +24,7 @@ import pytest
 from koszuldepth import bits, checks, decomposition
 from koszuldepth.decomposition import (
     build_decomposition,
-    verify_hilbert,
+    verify_box,
     verify_stanley,
 )
 from koszuldepth.koszul import Multidegree, dim_oracle
@@ -209,7 +209,7 @@ def test_box_check_fails_just_below_the_guard(unguarded, n, k, failing):
         expect = dim_oracle(n, k, m)
         if got != expect:
             expected.append(f"multidegree {m}: {got} summands vs dimension {expect}")
-    rep = verify_hilbert(decomp, "box", 2)
+    rep = verify_box(n, k, 2)
     assert not rep.passed
     assert rep.counts["multidegrees_checked"] == 3 ** n
     assert len(expected) == failing

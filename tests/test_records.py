@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from koszuldepth.koszul import ChainTerm, KoszulChain, Multidegree, boundary
+from koszuldepth.koszul import ChainTerm, KoszulChain, Multidegree, generator_m
 from koszuldepth.matching import MatchResult
 from koszuldepth.report import Report
 from koszuldepth.subsets import Subset
@@ -55,7 +55,8 @@ def test_report_pickles_and_deepcopies_with_fresh_containers():
 def test_tuple_records_keep_fields_and_methods():
     assert not MatchResult(False) and MatchResult(True, Subset(2, [1]), 1)
     assert MatchResult(False).value is None and MatchResult(False).pivot is None
-    chain = boundary(Subset(4, [1, 3, 4]))
+    G = Subset(4, [1, 3, 4])
+    chain = generator_m(G, G)
     assert chain.text() == str(chain) == "+x1*e{3,4} -x3*e{1,4} +x4*e{1,3}"
     term = ChainTerm((2,), -1, Multidegree(3, [1, 0, 2]))
     assert KoszulChain(3, (term,)).text() == "-x1*x3^2*e{2}"
