@@ -159,26 +159,6 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _verify_one(task) -> Report:
-    """The report of one (n, k) task, with the ``--box`` check merged in.
-
-    ``verify_stanley`` writes its conclusion last, and only on a pass; it
-    is held back over the box check and kept only if that passes too.
-    """
-    n, k, box, rank = task
-    rep = decomposition.verify_stanley(n, k, check_rank=rank)
-    if box is not None:
-        conclusion = rep.lines.pop() if rep.passed else None
-        box_rep = decomposition.verify_box(n, k, box)
-        rep.passed = rep.passed and box_rep.passed
-        rep.lines.extend(box_rep.lines)
-        rep.failures.extend(box_rep.failures)
-        rep.counts.update({f"box_{key}": v for key, v in box_rep.counts.items()})
-        if rep.passed:
-            rep.lines.append(conclusion)
-    return rep
-
-
 def cmd_verify(args) -> int:
     rank = {"auto": None, "always": True, "never": False}[args.rank]
     if args.box is not None and args.box < 0:
@@ -192,7 +172,7 @@ def cmd_verify(args) -> int:
         if args.all_n < 2:
             raise ValueError(f"--all-n needs N >= 2, the smallest n with a valid k; got {args.all_n}")
         tasks = [
-            (n, k, args.box, rank)
+            (n, k, rank, args.box)
             for n in range(2, args.all_n + 1)
             for k in decomposition.upper_half(n)
         ]
@@ -201,15 +181,16 @@ def cmd_verify(args) -> int:
             print("error: provide n and k, or --all-n N", file=sys.stderr)
             return 2
         decomposition.require_upper_half(args.n, args.k)
-        tasks = [(args.n, args.k, args.box, rank)]
+        tasks = [(args.n, args.k, rank, args.box)]
 
-    # the pool forks every worker at its first task, so never more than tasks
+    # the pool forks every worker at its first task, so never more than tasks;
+    # verify_stanley is read off the module, where the benchmark tracer wraps it
     workers = min(args.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_one, tasks))
+            results = list(pool.map(decomposition.verify_stanley, *zip(*tasks)))
     else:
-        results = [_verify_one(t) for t in tasks]
+        results = [decomposition.verify_stanley(*task) for task in tasks]
 
     all_passed = all(r.passed for r in results)
     if args.format == "json":

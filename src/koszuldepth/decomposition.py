@@ -7,7 +7,7 @@ or all but the one the matching would delete) times a fixed generator of
 multidegree S.  This module builds that family from the upward chains of
 the k-subsets, its one producer, and checks everything it claims: the
 dimension count per multidegree, the squashed-order triangle condition,
-exact linear independence, and the per-pair index increment the triangle
+linear independence mod 2, and the per-pair index increment the triangle
 argument rests on.
 """
 
@@ -412,7 +412,9 @@ def index_step_sweep(n: int) -> Report:
     return rep
 
 
-def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
+def verify_stanley(
+    n: int, k: int, check_rank: bool | None = None, box_depth: int | None = None
+) -> Report:
     """Full verification of the decomposition for one (n, k).
 
     The script is built from the k-subsets' upward chains, so each
@@ -424,8 +426,8 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     pair is named with its least witness support.  None of these visits a
     support; only rank does (by default for n <= ``RANK_AUTO_MAX_N``): mod
     2, on families from one push of the chains and rows from one table of
-    facets, with Bareiss on the support's family where that fails.  The
-    depth conclusion cites the upper bound rather than verifying it.
+    facets.  ``box_depth`` adds the box identity.  The depth conclusion,
+    drawn last, cites the upper bound rather than verifying it.
     """
     require_upper_half(n, k)
     if check_rank is None:
@@ -457,18 +459,18 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     rank_failures = 0
     if check_rank:
         families = even_families(n, k)
-        rows = facet_row_table(n, k)
+        row_of = facet_row_table(n, k).__getitem__
         for m_mask in range(1, 1 << n):
-            if m_mask.bit_count() < k:
+            size = m_mask.bit_count()
+            if size < k:
                 continue
             rank_checked += 1
-            # an odd maximal minor is a non-zero integer, so full rank mod 2
-            # is full rank over Q; only a deficiency mod 2 needs Bareiss
-            if not rank_full_mod2(map(rows.__getitem__, families[m_mask])):
-                M = Subset.from_mask(n, m_mask)
-                if not rank_full(sign_matrix(contribution_family(n, k, M))):
-                    rank_failures += 1
-                    rep.fail(f"support {M}: sign matrix rank deficient")
+            family = families[m_mask]
+            # K is any field, so a deficiency mod 2 is a counterexample; full
+            # rank mod 2 gives an odd maximal minor, so full rank over Q too
+            if len(family) != family_sizes[size] or not rank_full_mod2(map(row_of, family)):
+                rank_failures += 1
+                rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
 
     rep.counts["summands"] = len(script)
     rep.counts["supports"] = supports
@@ -498,6 +500,12 @@ def verify_stanley(n: int, k: int, check_rank: bool | None = None) -> Report:
     rep.lines.append(
         f"depth: |Z| sizes {z_sizes}, minimum {min_z} = n-1 attained by {slim} summands"
     )
+    if box_depth is not None:
+        box = verify_box(n, k, box_depth)
+        rep.passed &= box.passed
+        rep.lines.extend(box.lines)
+        rep.failures.extend(box.failures)
+        rep.counts.update({f"box_{key}": v for key, v in box.counts.items()})
     if rep.passed:
         rep.lines.append(
             f"conclusion: sdepth M({n},{k}) >= {n - 1} verified by this decomposition; "

@@ -319,7 +319,7 @@ def test_verify_golden_rank_sweep_tasks(capsys):
 
 
 def test_verify_text_counts_cut_counterexamples(capsys, monkeypatch):
-    def failing(n, k, check_rank=None):
+    def failing(n, k, check_rank=None, box_depth=None):
         rep = Report(f"stanley decomposition n={n} k={k}")
         for i in range(25):
             rep.fail(f"failure {i}")
@@ -382,11 +382,14 @@ def test_verify_json(capsys):
 
 def test_verify_jobs_flag(capsys):
     # a real pool of two workers, whose executor cli imports on first use,
-    # prints exactly what one process prints
-    serial = run(capsys, "verify", "--all-n", "4", "--jobs", "1")
-    pooled = run(capsys, "verify", "--all-n", "4", "--jobs", "2")
-    assert serial[0] == 0 and "PASS" in serial[1]
-    assert pooled == serial
+    # maps verify_stanley over the tasks' argument columns and prints
+    # exactly what one process prints, the box check included
+    for extra in ([], ["--box", "1"], ["--box", "1", "--format", "json"]):
+        serial = run(capsys, "verify", "--all-n", "4", "--jobs", "1", *extra)
+        pooled = run(capsys, "verify", "--all-n", "4", "--jobs", "2", *extra)
+        assert serial[0] == 0 and "conclusion: sdepth M(4,2)" in serial[1]
+        assert ("hilbert identity (box): " in serial[1]) == bool(extra)
+        assert pooled == serial
 
 
 def test_verify_pool_never_exceeds_the_tasks(capsys, monkeypatch):
@@ -405,8 +408,8 @@ def test_verify_pool_never_exceeds_the_tasks(capsys, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
     expected = {}

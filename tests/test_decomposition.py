@@ -468,23 +468,61 @@ def test_even_families_equal_even_members(n):
             assert families[m] == [g for g, _ in even_members(table, m, k)]
 
 
-def test_verify_stanley_falls_back_to_bareiss(monkeypatch):
-    exact_calls = []
+# the 10 triangles of the 6-vertex real projective plane: every edge lies
+# on two of them, so their boundary rows sum to 0 mod 2 and have rank 9
+# there, while over Q they have full rank 10
+_RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+        (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
 
-    def counted(matrix):
-        exact_calls.append(len(matrix))
-        return rank_full(matrix)
 
-    monkeypatch.setattr(decomposition, "rank_full_mod2", lambda rows: False)
-    monkeypatch.setattr(decomposition, "rank_full", counted)
+def _refuse(*args):
+    raise AssertionError("verify rebuilt a family, its sign matrix or its exact rank")
+
+
+def _with_families(monkeypatch, change):
+    """Patch ``decomposition.even_families`` to list ``change(m, family)``
+    at each support mask m, and make every per-support builder raise."""
+    real = decomposition.even_families
+
+    def patched(n, k):
+        return [change(m, family) for m, family in enumerate(real(n, k))]
+
+    monkeypatch.setattr(decomposition, "even_families", patched)
+    for name in ("contribution_family", "sign_matrix", "rank_full"):
+        monkeypatch.setattr(decomposition, name, _refuse)
+
+
+def test_verify_stanley_decides_rank_mod2_on_the_families_given(monkeypatch):
+    # the rank line reads the families it was given, over GF(2) alone: at
+    # support {1..6} of (6,3), a member listed twice (beside the others or
+    # in place of the second) and the projective plane's triangles each fail
+    # it, though the real family, and the plane over Q, have full rank
+    rp2 = [S(6, t).mask for t in _RP2]
+    plane = ContributionFamily(S(6, range(1, 7)), 3, tuple(FamilyMember(S(6, t), 0) for t in _RP2))
+    assert sympy_rank(sign_matrix(plane)) == 10 == comb(5, 2)
+    assert naive_rank_mod2(sign_matrix(plane)) == 9
+    for fault in (
+        lambda family: family + family[:1],
+        lambda family: family[:1] + family[:1] + family[2:],
+        lambda family: rp2,
+    ):
+        with monkeypatch.context() as patch:
+            _with_families(patch, lambda m, family: fault(family) if m == 0b111111 else family)
+            rep = verify_stanley(6, 3, check_rank=True)
+        assert not rep.passed
+        assert rep.counts["rank_checked"] == 42 and rep.counts["rank_failures"] == 1
+        assert rep.failures == ["support {1,2,3,4,5,6}: sign matrix rank deficient"]
+        assert "exact rank: 42 sign matrices, 1 rank deficient" in rep.lines
+        assert not any(line.startswith("conclusion:") for line in rep.lines)
+
+
+def test_verify_stanley_rank_never_passes_on_no_rows(monkeypatch):
+    # with every family empty no row is checked, and every support fails
+    _with_families(monkeypatch, lambda m, family: [])
     rep = verify_stanley(7, 3, check_rank=True)
-    assert rep.passed
-    assert rep.counts["rank_checked"] == 99 and rep.counts["rank_failures"] == 0
-    assert len(exact_calls) == 99
-    # a deficiency on both fields is reported per support
-    monkeypatch.setattr(decomposition, "rank_full", lambda matrix: False)
-    rep = verify_stanley(7, 3, check_rank=True)
-    assert not rep.passed and rep.counts["rank_failures"] == 99
+    assert not rep.passed
+    assert rep.counts["rank_checked"] == rep.counts["rank_failures"] == 99
+    assert "exact rank: 99 sign matrices, 99 rank deficient" in rep.lines
     assert "support {1,2,3}: sign matrix rank deficient" in rep.failures
 
 

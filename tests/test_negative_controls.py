@@ -18,12 +18,15 @@ the family sizes; a script in another order is no fault.
 """
 
 from itertools import product
+from math import comb
 
 import pytest
 
 from koszuldepth import bits, checks, decomposition
 from koszuldepth.decomposition import (
     build_decomposition,
+    contribution_family,
+    sign_matrix,
     verify_box,
     verify_stanley,
 )
@@ -37,6 +40,7 @@ from helpers import (
     naive_contributes,
     naive_facet,
     naive_least_witnesses,
+    naive_rank_mod2,
     naive_support_counts,
     naive_witness_holds,
     script_by_psi,
@@ -340,15 +344,32 @@ def _strict_chain_insertions(n, g):
 
 
 # per fault and (n, k): Hilbert failures (also the family-size
-# mismatches), violating pairs and rank-deficient supports
+# mismatches), violating pairs and rank-deficient supports: every support
+# whose family has the wrong size, plus those of the right size whose sign
+# matrix is deficient mod 2 (moved: 0, 3, 8, 11; strict: 0, 0, 3, 2)
 _CHAIN_FAULT_FAILURES = {
     _moved_first_insertion: {
-        (6, 3): (11, 6, 6), (8, 4): (54, 34, 33), (9, 4): (182, 85, 120), (10, 5): (252, 180, 164),
+        (6, 3): (11, 6, 11), (8, 4): (54, 34, 57), (9, 4): (182, 85, 190), (10, 5): (252, 180, 263),
     },
     _strict_chain_insertions: {
-        (6, 3): (10, 5, 10), (8, 4): (46, 24, 46), (9, 4): (144, 55, 143), (10, 5): (205, 113, 203),
+        (6, 3): (10, 5, 10), (8, 4): (46, 24, 46), (9, 4): (144, 55, 147), (10, 5): (205, 113, 207),
     },
 }
+
+
+def _rank_deficient_supports(n, k):
+    """The supports the rank line must fail, by enumeration: those whose
+    even-index members are not C(|M|-1,k-1) rows of a sign matrix of full
+    rank mod 2, built by ``sign_matrix`` and reduced by the naive
+    elimination."""
+    failing = 0
+    for m in range(1, 1 << n):
+        if m.bit_count() < k:
+            continue
+        rows = sign_matrix(contribution_family(n, k, Subset.from_mask(n, m)))
+        if len(rows) != comb(m.bit_count() - 1, k - 1) or naive_rank_mod2(rows) < len(rows):
+            failing += 1
+    return failing
 
 
 @pytest.fixture(params=list(_CHAIN_FAULT_FAILURES), ids=lambda fault: fault.__name__.strip("_"))
@@ -366,7 +387,7 @@ def test_chain_fault_fails_verify(chain_fault, n, k):
     hilbert, pairs, rank = _CHAIN_FAULT_FAILURES[chain_fault][n, k]
     assert rep.counts["hilbert_failures"] == rep.counts["family_size_mismatches"] == hilbert
     assert rep.counts["triangle_violations"] == pairs
-    assert rep.counts["rank_failures"] == rank
+    assert rep.counts["rank_failures"] == rank == _rank_deficient_supports(n, k)
     assert len(rep.failures) == hilbert + pairs + rank
     # the rank check's families are the even-index members of the faulted
     # chains, so its pinned failures keep their meaning
