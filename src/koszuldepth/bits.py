@@ -2,10 +2,11 @@
 submask walks.
 
 Bit e-1 encodes element e, so on a fixed cardinality level the squashed
-order is plain integer order on masks.  ``scan`` is the one place where the
-peaks of a lattice path are found: ``match_tables`` runs it on every mask
-(for the matching-law sweeps of ``check-matching``), and the subset-level
-maps in :mod:`koszuldepth.matching` and the k-subset table run it on one.
+order is plain integer order on masks.  ``scan`` finds the peaks of one
+lattice path, for the subset-level maps in :mod:`koszuldepth.matching` and
+the k-subset table; ``match_tables`` finds those of every mask at once, by
+extending every prefix by one position (for the matching-law sweeps of
+``check-matching``).
 ``chain_insertions`` reads a whole upward chain off one path by its closed
 form, so the k-subset table, and everything ``verify`` runs on, needs no
 table over the 2^n masks.  The tables are cached for the last ``n`` (and
@@ -58,19 +59,28 @@ def scan(n: int, mask: int) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=1)
 def match_tables(n: int) -> MatchTables:
-    """``psi`` and ``phi`` of every mask over {1..n}, by one ``scan`` per
-    mask."""
+    """``psi`` and ``phi`` of every mask over {1..n}.
+
+    The peaks ``nu`` and ``mu`` of :func:`scan` are found for all masks at
+    once, by extending every prefix by one position: the masks below
+    2^(pos-1) are the prefixes, and setting bit pos-1 appends a member.
+    ``gap`` is the running maximum minus the current height.  A member at
+    gap 0 is a new peak (``nu`` and ``mu``), at gap 1 it ties the maximum
+    (``mu``); after a member the gap is max(gap - 1, 0), after a non-member
+    gap + 1.
+    """
     check_ground(n)
-    size = 1 << n
-    psi_t: list[int | None] = [None] * size
-    phi_t: list[int | None] = [None] * size
-    for mask in range(size):
-        nu, mu, _ = scan(n, mask)
-        if nu:
-            psi_t[mask] = mask ^ (1 << (nu - 1))
-        if mu != n:
-            phi_t[mask] = mask | (1 << mu)
-    return MatchTables(n, tuple(psi_t), tuple(phi_t))
+    nu, mu, gap = [0], [0], [0]
+    for pos in range(1, n + 1):
+        nu += [v if g else pos for g, v in zip(gap, nu)]
+        mu += [v if g > 1 else pos for g, v in zip(gap, mu)]
+        gap = [g + 1 for g in gap] + [g - 1 if g else 0 for g in gap]
+    # each list of 2^n is dropped once read, which lowers the peak at large n
+    del gap
+    psi_t = tuple([mask ^ (1 << (v - 1)) if v else None for mask, v in enumerate(nu)])
+    del nu
+    phi_t = tuple([mask | (1 << v) if v != n else None for mask, v in enumerate(mu)])
+    return MatchTables(n, psi_t, phi_t)
 
 
 def chain_insertions(n: int, g: int) -> int:

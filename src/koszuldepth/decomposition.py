@@ -20,7 +20,9 @@ from typing import Iterator, NamedTuple
 
 # match_tables, phi_index and lattice_path are unused here, but the benchmark
 # tracer wraps this module's bindings
-from .bits import chain_index, k_subset_table, match_tables, phi_index, sized_submasks
+from .bits import (
+    chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks,
+)
 from .maskchecks import (
     contribution_counts, even_families, even_members, even_stops, facet_row_table,
     rank_full_mod2, triangle_pairs,
@@ -259,8 +261,7 @@ def verify_box(n: int, k: int, box_depth: int) -> Report:
     dimension oracle.  Runs on the construction's masks, without building
     its summands."""
     require_upper_half(n, k)
-    if not isinstance(box_depth, int) or isinstance(box_depth, bool) or box_depth < 0:
-        raise ValueError(f"box depth must be an integer >= 0, got {box_depth!r}")
+    _require_box_depth(box_depth)
     pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _script(n, k)]
     rep = Report(f"hilbert identity n={n} k={k} (box)")
     checked = 0
@@ -275,6 +276,11 @@ def verify_box(n: int, k: int, box_depth: int) -> Report:
     rep.counts["multidegrees_checked"] = checked
     rep.counts["box_depth"] = box_depth
     return _close_hilbert(rep, "box", checked)
+
+
+def _require_box_depth(box_depth: int) -> None:
+    if not isinstance(box_depth, int) or isinstance(box_depth, bool) or box_depth < 0:
+        raise ValueError(f"box depth must be an integer >= 0, got {box_depth!r}")
 
 
 def _by_support(n: int, by_size: list[int]) -> Iterator[int]:
@@ -371,35 +377,60 @@ def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
 def index_step_sweep(n: int) -> Report:
     """Exhaustively check the index increment over all admissible triples.
 
-    For fixed G the admissible partners H are exactly the sets obtained from
-    the distinguished facet of G by adding an element of M below the deleted
-    pivot: the elements of M in G's probe.
+    For fixed G the admissible partners H are the distinguished facet of G
+    plus one element x of G's probe, on every support M containing G | x.
+    Both indices read M only on the chains' bits outside G | x, so each
+    pattern of M there is decided once, for every M showing it (README,
+    "Grouping supports by the chains' bits"), and only a failing one is
+    expanded.  Failures are reported in the order (M, |G|, G, x).
     """
     rep = Report(f"index increment n={n}")
-    # fetched once: the table cache holds only the last (n, k)
-    by_size = {size: k_subset_table(n, size) for size in range(max(n // 2, 1), n + 1)}
+    full = (1 << n) - 1
+    width = n.bit_length()
     by_case = {1: 0, 2: 0}
-    checked = 0
-    for m_mask in range(1, 1 << n):
-        for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
-            table = by_size[size]
-            for g_mask in sized_submasks(m_mask, size):
-                _, t_mask, probe = table[g_mask]
-                rest = m_mask & probe
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    h_mask = t_mask | low
-                    assert _admissible(table, n, m_mask, g_mask, h_mask)
-                    case, ind_g, ind_h, expected = _index_step(table, m_mask, g_mask, h_mask)
-                    checked += 1
-                    by_case[case] += 1
+    failing = []  # one sort key (M, |G|, G, x) per failure, packed into an int
+    kept = {}  # the tables of the sizes that failed, to render the failures
+    for size in range(max(n // 2, 1), n + 1):
+        # fetched once: the table cache holds only the last (n, k)
+        table = k_subset_table(n, size)
+        before = len(failing)
+        for g_mask, (added_g, t_mask, probe) in table.items():
+            rest = probe
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                h_mask, base = t_mask | low, g_mask | low
+                # admissible at G | x, hence at every support containing it
+                if not _admissible(table, n, base, g_mask, h_mask):
+                    raise RuntimeError(f"inadmissible partner {h_mask:#x} of {g_mask:#x}")
+                free = full & ~base
+                read = free & (added_g | table[h_mask][0])
+                other = free & ~read
+                for sub in submasks(read):
+                    case, _, ind_h, expected = _index_step(table, base | sub, g_mask, h_mask)
+                    by_case[case] += 1 << other.bit_count()
                     if ind_h != expected:
-                        M, G, H = (Subset.from_mask(n, mask) for mask in (m_mask, g_mask, h_mask))
-                        rep.fail(
-                            f"M={M} G={G} H={H}: case {case}, index {ind_h} != "
-                            f"expected {expected} (index of G: {ind_g})"
+                        failing += (
+                            (((base | sub | o) << width | size) << n | g_mask) << n | low
+                            for o in submasks(other)
                         )
+        if len(failing) > before:
+            kept[size] = table
+    failing.sort()
+    text = {}  # each mask's, built once
+    for key in failing:
+        low, g_mask, m_mask = key & full, key >> n & full, key >> 2 * n + width
+        table = kept[g_mask.bit_count()]
+        h_mask = table[g_mask][1] | low
+        for mask in (m_mask, g_mask, h_mask):
+            if mask not in text:
+                text[mask] = str(Subset.from_mask(n, mask))
+        case, ind_g, ind_h, expected = _index_step(table, m_mask, g_mask, h_mask)
+        rep.fail(
+            f"M={text[m_mask]} G={text[g_mask]} H={text[h_mask]}: case {case}, "
+            f"index {ind_h} != expected {expected} (index of G: {ind_g})"
+        )
+    checked = by_case[1] + by_case[2]
     rep.counts["triples_checked"] = checked
     rep.counts["case1"] = by_case[1]
     rep.counts["case2"] = by_case[2]
@@ -430,6 +461,8 @@ def verify_stanley(
     drawn last, cites the upper bound rather than verifying it.
     """
     require_upper_half(n, k)
+    if box_depth is not None:
+        _require_box_depth(box_depth)
     if check_rank is None:
         check_rank = n <= RANK_AUTO_MAX_N
     rep = Report(f"stanley decomposition n={n} k={k}")

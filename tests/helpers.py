@@ -2,8 +2,11 @@
 
 Everything here is deliberately written from first principles (plain loops,
 brute enumeration, sympy for exact rank, list elimination for rank mod 2) so
-that it shares no code path with the package under test.  The chain oracles
-at the end are the exception: they build on the package's chain builder.
+that it shares no code path with the package under test.  Two kinds are the
+exception: the chain oracles at the end build on the package's chain
+builder, and ``support_major_index_sweep``, the index-increment sweep as one
+loop per support, runs the package's per-triple step, so that it checks how
+the sweep groups supports, not the step itself.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from typing import NamedTuple
 
 import sympy
 
+from koszuldepth import decomposition
+from koszuldepth.bits import sized_submasks
 from koszuldepth.koszul import KoszulChain, Multidegree, generator_m
+from koszuldepth.report import Report
 from koszuldepth.subsets import Subset
 
 
@@ -291,6 +297,52 @@ def admissible_triples(n: int):
                             frozenset(M), frozenset(G), frozenset(H),
                             case, index_G, naive_index_up(n, H, M), x,
                         )
+
+
+def support_major_index_sweep(n: int):
+    """The reference for ``decomposition.index_step_sweep``: the loop over
+    every support M, size, G inside M and x in M and G's probe, deciding
+    each triple on its own.  It reads the k-subset tables through the
+    ``decomposition`` module, so a table patched there reaches it too."""
+    rep = Report(f"index increment n={n}")
+    # fetched once: the table cache holds only the last (n, k)
+    by_size = {
+        size: decomposition.k_subset_table(n, size) for size in range(max(n // 2, 1), n + 1)
+    }
+    by_case = {1: 0, 2: 0}
+    checked = 0
+    for m_mask in range(1, 1 << n):
+        for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
+            table = by_size[size]
+            for g_mask in sized_submasks(m_mask, size):
+                _, t_mask, probe = table[g_mask]
+                rest = m_mask & probe
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    h_mask = t_mask | low
+                    assert decomposition._admissible(table, n, m_mask, g_mask, h_mask)
+                    case, ind_g, ind_h, expected = decomposition._index_step(
+                        table, m_mask, g_mask, h_mask
+                    )
+                    checked += 1
+                    by_case[case] += 1
+                    if ind_h != expected:
+                        M, G, H = (Subset.from_mask(n, mask) for mask in (m_mask, g_mask, h_mask))
+                        rep.fail(
+                            f"M={M} G={G} H={H}: case {case}, index {ind_h} != "
+                            f"expected {expected} (index of G: {ind_g})"
+                        )
+    rep.counts["triples_checked"] = checked
+    rep.counts["case1"] = by_case[1]
+    rep.counts["case2"] = by_case[2]
+    rep.counts["failures"] = len(rep.failures)
+    rep.lines.append(
+        f"index increment: {checked} admissible triples "
+        f"({by_case[1]} with non-negative restricted peak, {by_case[2]} below), "
+        f"{len(rep.failures)} failures"
+    )
+    return rep
 
 
 def naive_contributes(S: set[int], Z: set[int], exponents) -> bool:

@@ -44,6 +44,24 @@ def test_match_tables_equal_reference_maps(n):
         assert tables.phi[mask] == _mask(naive_phi(n, elems))
 
 
+def _scan_tables(n):
+    """psi and phi of every mask by one ``scan`` each: the per-mask
+    reference for ``match_tables``."""
+    psi, phi = [], []
+    for mask in range(1 << n):
+        nu, mu, _ = scan(n, mask)
+        psi.append(mask ^ (1 << (nu - 1)) if nu else None)
+        phi.append(mask | (1 << mu) if mu != n else None)
+    return tuple(psi), tuple(phi)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_match_tables_equal_the_scan_per_mask(n):
+    # the all-prefixes sweep finds the same peaks as the scan of each mask
+    tables = match_tables(n)
+    assert (tables.psi, tables.phi) == _scan_tables(n)
+
+
 def test_match_tables_ground_guard():
     for n in (0, -1, 99):
         with pytest.raises(ValueError):
@@ -71,9 +89,10 @@ def test_sized_submasks_ascending():
 
 
 def test_lattice_path_called_only_for_drawing():
-    # bits.scan is the one peak scan, and k_subset_table the one source of
-    # upward indices; a lattice_path call elsewhere, or any call of the
-    # per-pair index walks, would be a second matching engine
+    # bits.scan finds the peaks of one mask and match_tables those of all
+    # masks at once, and k_subset_table is the one source of upward indices;
+    # a lattice_path call elsewhere, or any call of the per-pair index walks,
+    # would be a second matching engine
     callers = set()
     walks = []
     for path in Path(koszuldepth.__file__).parent.glob("*.py"):

@@ -167,7 +167,8 @@ CHECK_MATCHING_8_JSON = {
 
 # Complete chain output, pinned byte for byte: the text of `family 9 4
 # {1,2,5,7,9} --matrix` here, and under golden/ the text of `decompose 7 3`
-# and the JSON of `decompose 8 4 --format json`.
+# and the JSON of `decompose 8 4 --format json` (the law sweeps' goldens are
+# there too, below).
 FAMILY_9_4_MATRIX = (
     "family for M = {1,2,5,7,9}, n = 9, k = 4: 4 members\n"
     "{1,2,5,7}  index 0  distinguished {1,5,7}\n"
@@ -270,6 +271,18 @@ def test_decompose_golden(capsys, argv, golden):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, code, golden",
+    [
+        (("check-lemma", "9", "--format", "json"), 1, "check_lemma_9.json"),
+        (("check-matching", "10", "--format", "json"), 0, "check_matching_10.json"),
+    ],
+)
+def test_law_sweep_golden(capsys, argv, code, golden):
+    # the whole output of both law sweeps, every counterexample in order
+    assert run(capsys, *argv) == (code, (GOLDEN / golden).read_text(), "")
 
 
 def test_family_matrix_golden(capsys):

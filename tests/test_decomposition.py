@@ -46,6 +46,7 @@ from helpers import (
     naive_triangle,
     naive_witness_holds,
     script_by_psi,
+    support_major_index_sweep,
     sympy_rank,
 )
 
@@ -547,6 +548,18 @@ def test_box_depth_must_be_a_non_negative_integer(depth):
         verify_box(3, 1, depth)
 
 
+def test_verify_stanley_rejects_the_box_depth_before_any_check(monkeypatch):
+    # a bad depth fails before any check runs, not after all of them
+    calls = []
+    script = decomposition._script
+    monkeypatch.setattr(decomposition, "_script", lambda n, k: calls.append(n) or script(n, k))
+    for depth in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="box depth must be an integer >= 0"):
+            verify_stanley(14, 7, check_rank=True, box_depth=depth)
+    assert calls == []
+    assert verify_stanley(3, 1, box_depth=1).passed and calls == [3, 3]
+
+
 def test_verify_hilbert_pointwise_examples():
     d = build_decomposition(3, 1)
     cases = [((1, 1, 0), 1), ((2, 1, 1), 1), ((0, 0, 0), 0)]
@@ -679,6 +692,24 @@ def test_index_step_sweep_structure():
         assert got == failing
 
 
+def _same_report(got, want):
+    for field in ("name", "passed", "counts", "failures", "lines"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("n", range(2, 12))
+def test_index_step_sweep_equals_the_support_major_loop(n):
+    # the grouped sweep against the loop over every support, size, G and x
+    _same_report(index_step_sweep(n), support_major_index_sweep(n))
+
+
+def test_index_step_sweep_guards_admissibility(monkeypatch):
+    # the check that every (G, x) partner is admissible survives python -O
+    monkeypatch.setattr(decomposition, "_admissible", lambda *args: False)
+    with pytest.raises(RuntimeError, match="inadmissible partner"):
+        index_step_sweep(5)
+
+
 def test_index_step_sweep_reads_the_table_probes(monkeypatch):
     # negative control: the sweep takes every partner H from the k-subset
     # table, so one element dropped from one probe must change its counts
@@ -699,6 +730,8 @@ def test_index_step_sweep_reads_the_table_probes(monkeypatch):
         lambda n_, k_: table if (n_, k_) == (n, 4) else k_subset_table(n_, k_),
     )
     assert index_step_sweep(n).counts != tallies
+    # and the grouped sweep still equals the support-major loop on that table
+    _same_report(index_step_sweep(n), support_major_index_sweep(n))
 
 
 def test_verify_stanley_small():
