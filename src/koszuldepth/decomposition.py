@@ -24,8 +24,8 @@ from .bits import (
     chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks,
 )
 from .maskchecks import (
-    contribution_counts, even_families, even_members, even_stops, facet_row_table,
-    rank_full_mod2, triangle_pairs,
+    contribution_counts, even_families, even_members, even_stop_row, even_stops,
+    facet_row_table, rank_full_mod2, triangle_pairs,
 )
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m
 from .report import Report
@@ -448,17 +448,20 @@ def verify_stanley(
 ) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    The script is built from the k-subsets' upward chains, so each
-    support's family is its k-subsets of even index, and its size is the
-    support's summand count.  One subset-sum transform gives every count;
-    the squarefree Hilbert identity compares them with the dimension oracle
-    (one call per support size), the family sizes with C(|M|-1, k-1).  The
-    triangle condition is decided by pairs of k-subsets, and each violating
-    pair is named with its least witness support.  None of these visits a
-    support; only rank does (by default for n <= ``RANK_AUTO_MAX_N``): mod
-    2, on families from one push of the chains and rows from one table of
-    facets.  ``box_depth`` adds the box identity.  The depth conclusion,
-    drawn last, cites the upper bound rather than verifying it.
+    Every check reads the script's rows ``(S, removed, G)``.  One subset-sum
+    transform over them gives every support's summand count; the squarefree
+    Hilbert identity compares the counts with the dimension oracle (one
+    call per support size), the family sizes with C(|M|-1, k-1).  One pass
+    names each row that is not an even stop of G's chain and counts the
+    slim summands; with the Hilbert identity, which fails on a missing or
+    repeated row, each support's generators are its k-subsets of even index
+    (README, lemma 1).  The triangle condition is decided on those by pairs
+    of k-subsets, each violating pair named with its least witness support.
+    None of these visits a support; only rank does (by default for n <=
+    ``RANK_AUTO_MAX_N``): mod 2, on the generators one push of the rows
+    lists and sign rows from one table of facets.  ``box_depth`` adds the
+    box identity.  The depth conclusion, drawn last, cites the upper bound
+    rather than verifying it.
     """
     require_upper_half(n, k)
     if box_depth is not None:
@@ -481,6 +484,14 @@ def verify_stanley(
     family_sizes = [0] + [comb(s - 1, k - 1) for s in range(1, n + 1)]
     size_mismatches = sum(map(ne, counts, _by_support(n, family_sizes)))
     rep.passed &= not size_mismatches
+    table = k_subset_table(n, k)
+    strays = slim = 0
+    for s, removed, g in script:
+        slim += removed is not None
+        if not even_stop_row(table, s, removed, g):
+            strays += 1
+            S, G = Subset.from_mask(n, s), Subset.from_mask(n, g)
+            rep.fail(f"summand S={S} removed={removed or '-'} G={G}: not an even stop of G's chain")
     triangle_violations = 0
     for g, h, r in triangle_pairs(n, k):
         triangle_violations += 1
@@ -491,7 +502,7 @@ def verify_stanley(
     rank_checked = 0
     rank_failures = 0
     if check_rank:
-        families = even_families(n, k)
+        families = even_families(n, script)
         row_of = facet_row_table(n, k).__getitem__
         for m_mask in range(1, 1 << n):
             size = m_mask.bit_count()
@@ -512,11 +523,9 @@ def verify_stanley(
     rep.counts["rank_checked"] = rank_checked
     rep.counts["rank_failures"] = rank_failures
 
-    # the summand and parity forms of every family agree by construction
-    # (README, lemma 1)
     rep.lines.append(
         f"families: {supports} supports, sizes {'ok' if not size_mismatches else 'MISMATCHED'}, "
-        f"two-form agreement held"
+        f"two-form agreement {'held' if not strays else 'FAILED'}"
     )
     rep.lines.append(f"triangle condition (squashed order): {triangle_violations} violations")
     if check_rank:
@@ -524,8 +533,7 @@ def verify_stanley(
     else:
         rep.lines.append("exact rank: skipped at this size (rerun with rank checking forced)")
 
-    slim = sum(1 for _, removed, _ in script if removed is not None)
-    z_sizes = sorted({n if removed is None else n - 1 for _, removed, _ in script})
+    z_sizes = [n - 1] * (slim > 0) + [n] * (slim < len(script))
     min_z = min(z_sizes)
     rep.counts["min_Z"] = min_z
     if min_z != n - 1 or slim == 0:

@@ -2,15 +2,17 @@
 
 The checks that let ``verify`` decide without visiting a support run on the
 upward chains of :func:`koszuldepth.bits.k_subset_table` (``even_stops``,
-from which the script is built, and ``triangle_pairs``, which also yields a
-witness support per violating pair) and on one subset-sum transform
-(``contribution_counts``, whose counts are also the family sizes); the
-README states the lemmas behind them.  A support's family is its k-subsets
-of even index (``even_members`` for one support).  The rank check mod 2
-reads every family at once from one push of the chains' even stops
-(``even_families``) and every member's row from one table of sign-matrix
-rows mod 2 over all (k-1)-subsets of {1..n} (``facet_row_table``); a row
-has bits only at its member's facets, which lie in the support, so against
+from which the script is built, ``even_stop_row``, which checks each row
+of the script against its generator's chain, and ``triangle_pairs``, which
+also yields a witness support per violating pair) and on one subset-sum
+transform over the script's rows (``contribution_counts``, whose counts
+are also the family sizes); the README states the lemmas behind them.  A
+support's family is its k-subsets of even index (``even_members`` for one
+support).  The rank check mod 2 reads every family at once from one push
+of the script's rows (``even_families``), so it tests the generators the
+script names, and every member's row from one table of sign-matrix rows
+mod 2 over all (k-1)-subsets of {1..n} (``facet_row_table``); a row has
+bits only at its member's facets, which lie in the support, so against
 the support's own sign matrix it only gains zero columns, and
 ``rank_full_mod2`` decides on it unchanged.
 """
@@ -132,32 +134,42 @@ def contribution_counts(n: int, summands) -> list[int]:
     return counts
 
 
-def even_families(n: int, k: int) -> list[list[int]]:
-    """Per support mask over {1..n}, its k-subsets of even index, ascending:
-    ``[g for g, _ in even_members(table, M, k)]`` for every M at once.
+def even_families(n: int, summands) -> list[list[int]]:
+    """Per support mask over {1..n}, the generators G of the summands
+    ``(S, removed, G)`` that meet it, in the order of the rows.
 
-    g has index j in M exactly when M holds ``g | prefix`` and lacks ``a``,
-    for the even stop ``(prefix, a)`` of :func:`even_stops`; so each stop
-    appends g to every M above ``g | prefix`` that lacks ``a``, one submask
-    walk over the rest of {1..n}.  A stop whose ``a`` lies in ``g | prefix``
-    meets no M.  M takes g at most once, as g has one index there, and in
-    ascending order, as the table is.
+    Each row appends G to every M above S that lacks the removed element,
+    one submask walk over the rest of {1..n}; a row whose removed element
+    lies in S meets no M.  When every row passes :func:`even_stop_row` and
+    each appears once, M's list is its k-subsets of even index (README,
+    lemma 1).
     """
     full = (1 << n) - 1
     families: list[list[int]] = [[] for _ in range(full + 1)]
-    for g, (added, _, _) in k_subset_table(n, k).items():
-        for prefix, a in even_stops(added):
-            base = g | prefix
-            if a & base:
-                continue
-            free = full & ~(base | a)
-            sub = free
-            while True:
-                families[base | sub].append(g)
-                if not sub:
-                    break
-                sub = (sub - 1) & free
+    for s, removed, g in summands:
+        a = 0 if removed is None else 1 << (removed - 1)
+        if a & s:
+            continue
+        free = full & ~(s | a)
+        sub = free
+        while True:
+            families[s | sub].append(g)
+            if not sub:
+                break
+            sub = (sub - 1) & free
     return families
+
+
+def even_stop_row(table, s: int, removed: int | None, g: int) -> bool:
+    """Whether the script row ``(S, removed, G)`` is an even stop of G's
+    chain (``table`` as :func:`k_subset_table` gives it): G is a k-subset,
+    S is G plus the chain's first j insertions for an even j, and the
+    removed element is the next insertion, None past the chain's end."""
+    entry = table.get(g)
+    if entry is None or s & g != g:
+        return False
+    a = 0 if removed is None else 1 << (removed - 1)
+    return (s ^ g, a) in even_stops(entry[0])
 
 
 def facet_row_table(n: int, k: int) -> dict[int, int]:

@@ -124,6 +124,29 @@ def test_one_chain_engine():
     assert callers == {"match_tables": {"checks.py"}, "chain_insertions": {"bits.py"}}
 
 
+def test_one_family_producer():
+    # the families have one derivation from the chains, the script: only
+    # the script, the row check against its chains and the triangle test by
+    # pairs read the chains' even stops, and the rank check's push reads
+    # the script's rows, not the chain table
+    callers = set()
+    for path in Path(koszuldepth.__file__).parent.glob("*.py"):
+        for fn in ast.parse(path.read_text()).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in ("even_stops", "k_subset_table"):
+                        callers.add((path.name, fn.name, name))
+    assert {(f, fn) for f, fn, name in callers if name == "even_stops"} == {
+        ("decomposition.py", "_script"),
+        ("maskchecks.py", "even_stop_row"),
+        ("maskchecks.py", "triangle_pairs"),
+    }
+    assert not {c for c in callers if c[1] == "even_families"}
+
+
 def test_subset_only_parses_and_prints():
     # every check runs on masks: outside the subsets module, a Subset is
     # read through its mask, its size or its sorted elements, never the set

@@ -167,8 +167,8 @@ CHECK_MATCHING_8_JSON = {
 
 # Complete chain output, pinned byte for byte: the text of `family 9 4
 # {1,2,5,7,9} --matrix` here, and under golden/ the text of `decompose 7 3`
-# and the JSON of `decompose 8 4 --format json` (the law sweeps' goldens are
-# there too, below).
+# and the JSON of `decompose 8 4 --format json` (the goldens of the law
+# sweeps and of two `verify` runs are there too, below).
 FAMILY_9_4_MATRIX = (
     "family for M = {1,2,5,7,9}, n = 9, k = 4: 4 members\n"
     "{1,2,5,7}  index 0  distinguished {1,5,7}\n"
@@ -283,6 +283,19 @@ def test_decompose_golden(capsys, argv, golden):
 def test_law_sweep_golden(capsys, argv, code, golden):
     # the whole output of both law sweeps, every counterexample in order
     assert run(capsys, *argv) == (code, (GOLDEN / golden).read_text(), "")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("verify", "10", "5", "--format", "json"), "verify_10_5.json"),
+        (("verify", "9", "4", "--box", "2"), "verify_9_4_box_2.txt"),
+    ],
+)
+def test_verify_whole_stdout_golden(capsys, argv, golden):
+    # the whole report, rank checked by default, and with the box identity
+    # merged after the depth line
+    assert run(capsys, *argv) == (0, (GOLDEN / golden).read_text(), "")
 
 
 def test_family_matrix_golden(capsys):

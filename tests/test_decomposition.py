@@ -459,14 +459,15 @@ def test_repeated_member_is_deficient_on_both_fields():
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_even_families_equal_even_members(n):
-    # one push of every even stop lists, at every support, the members that
-    # the per-support enumeration finds, in its order
+    # one push of the script's rows lists, at every support, the members
+    # that the per-support enumeration finds; the push lists them in the
+    # order of the rows, (level, S), so both are sorted
     for k in range(max(n // 2, 1), n):
         table = k_subset_table(n, k)
-        families = even_families(n, k)
+        families = even_families(n, decomposition._script(n, k))
         assert len(families) == 1 << n
         for m in range(1 << n):
-            assert families[m] == [g for g, _ in even_members(table, m, k)]
+            assert sorted(families[m]) == [g for g, _ in even_members(table, m, k)]
 
 
 # the 10 triangles of the 6-vertex real projective plane: every edge lies
@@ -485,8 +486,8 @@ def _with_families(monkeypatch, change):
     at each support mask m, and make every per-support builder raise."""
     real = decomposition.even_families
 
-    def patched(n, k):
-        return [change(m, family) for m, family in enumerate(real(n, k))]
+    def patched(n, summands):
+        return [change(m, family) for m, family in enumerate(real(n, summands))]
 
     monkeypatch.setattr(decomposition, "even_families", patched)
     for name in ("contribution_family", "sign_matrix", "rank_full"):

@@ -12,9 +12,11 @@ identity fails on it.  On the upper half, a distinguished facet that deletes
 the last peak over the members instead of the first breaks the triangle
 condition and nothing else, and a chain with a moved or a missing insertion
 fails ``verify`` too.  Under every chain fault, the rank check's push of the
-families lists what the per-support enumeration lists.  A script row that
-removes the wrong variable, or a missing row, fails the Hilbert identity and
-the family sizes; a script in another order is no fault.
+script's rows lists what the per-support enumeration lists.  A script row
+that removes the wrong variable, or a missing row, fails the Hilbert
+identity, the family sizes and the rank check; a row that names another
+generator fails the row check against its chain alone, as does the row that
+removes the wrong variable; a script in another order is no fault.
 """
 
 from itertools import product
@@ -44,6 +46,7 @@ from helpers import (
     naive_support_counts,
     naive_witness_holds,
     script_by_psi,
+    support_major_index_sweep,
 )
 
 
@@ -178,12 +181,13 @@ def test_transform_counts_below_the_guard(unguarded, n, k, failing):
 
 
 def _families_equal_members(n, k):
-    """Whether the rank check's one push lists, at every support, the
-    members of the per-support enumeration, in its order."""
+    """Whether the rank check's one push of the script's rows lists, at
+    every support, the members of the per-support enumeration; the push
+    lists them in the order of the rows, (level, S), so both are sorted."""
     table = bits.k_subset_table(n, k)
-    families = even_families(n, k)
+    families = even_families(n, decomposition._script(n, k))
     return all(
-        families[m] == [g for g, _ in even_members(table, m, k)] for m in range(1 << n)
+        sorted(families[m]) == [g for g, _ in even_members(table, m, k)] for m in range(1 << n)
     )
 
 
@@ -394,6 +398,21 @@ def test_chain_fault_fails_verify(chain_fault, n, k):
     assert _families_equal_members(n, k)
 
 
+@pytest.fixture
+def moved_first_insertion(monkeypatch):
+    yield from _faulted(monkeypatch, "chain_insertions", _moved_first_insertion)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_index_step_sweep_reads_both_chains_under_a_chain_fault(moved_first_insertion, n):
+    # with the first insertion moved, the verdict at a support depends on
+    # both chains' bits outside G | x, so the grouped sweep equals the loop
+    # over every support only if it reads the bits of G's chain and of H's
+    got, want = decomposition.index_step_sweep(n), support_major_index_sweep(n)
+    for field in ("name", "passed", "counts", "failures", "lines"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
 def _insertion_inside_g(n, g):
     """``bits.chain_insertions`` with a chain fault: g's least element is
     listed among the insertions, so a stop's next insertion can lie in g."""
@@ -433,10 +452,22 @@ def _dropped_summand(n, k):
     return tuple(rows)
 
 
+def _other_generator(n, k):
+    """``decomposition._script`` with a producer fault: the first row whose
+    S is not its G names the least other k-subset of S as G."""
+    rows = list(_real_script(n, k))
+    i = next(i for i, (s, _, g) in enumerate(rows) if s != g)
+    s, r, g = rows[i]
+    rows[i] = (s, r, next(h for h in bits.sized_submasks(s, k) if h != g))
+    return tuple(rows)
+
+
 # per fault and (n, k): Hilbert failures, also the family-size mismatches
+# and, with rank checked, the rank-deficient supports
 _SCRIPT_FAULT_FAILURES = {
     _removed_off_by_one: {(6, 3): 4, (8, 4): 8, (9, 4): 16},
     _dropped_summand: {(6, 3): 4, (8, 4): 16, (9, 4): 16},
+    _other_generator: {(6, 3): 0, (8, 4): 0, (9, 4): 0},
 }
 
 
@@ -446,19 +477,66 @@ def script_fault(monkeypatch, request):
     yield request.param
 
 
+def _stray_lines(n, k, rows):
+    """The row-check failure lines for the rows that the real script lacks."""
+    real = set(_real_script(n, k))
+    return [
+        f"summand S={Subset.from_mask(n, s)} removed={r or '-'} G={Subset.from_mask(n, g)}: "
+        f"not an even stop of G's chain"
+        for s, r, g in rows if (s, r, g) not in real
+    ]
+
+
+def _fails_verify(fault, n, k, check_rank):
+    # every check reads the script's rows: the counts, the row check against
+    # each G's chain and the families that rank reads.  A summand that
+    # removes the wrong variable, or a missing one, fails the Hilbert
+    # identity, the family sizes and, on the same supports, the rank check;
+    # a row that is no even stop of its G's chain, such as one that names
+    # another generator, fails the row check, one line per row
+    rep = verify_stanley(n, k, check_rank=check_rank)
+    assert not rep.passed
+    failing = _SCRIPT_FAULT_FAILURES[fault][n, k]
+    strays = _stray_lines(n, k, fault(n, k))
+    assert len(strays) == (fault is not _dropped_summand)
+    assert rep.counts["hilbert_failures"] == rep.counts["family_size_mismatches"] == failing
+    assert rep.counts["triangle_violations"] == 0
+    assert rep.counts["rank_failures"] == (failing if check_rank else 0)
+    assert rep.counts["rank_checked"] == (rep.counts["supports"] if check_rank else 0)
+    assert rep.counts["min_Z"] == n - 1
+    assert rep.failures[failing:failing + len(strays)] == strays
+    rank = rep.counts["rank_failures"]
+    assert len(rep.failures) == failing + len(strays) + rank
+    # rank fails on the supports whose Hilbert line failed, in mask order
+    supports = [line.split(":")[0] for line in rep.failures]
+    assert supports[len(supports) - rank:] == supports[:rank]
+    agreement = "FAILED" if strays else "held"
+    assert [line for line in rep.lines if line.startswith("families:")] == [
+        f"families: {rep.counts['supports']} supports, sizes {'MISMATCHED' if failing else 'ok'}, "
+        f"two-form agreement {agreement}"
+    ]
+
+
 @pytest.mark.parametrize("n, k", [(6, 3), (8, 4), (9, 4)])
 def test_script_fault_fails_verify(script_fault, n, k):
-    # the summand counts come from the script, the families, facets and sign
-    # rows from the chains: a summand that removes the wrong variable, or a
-    # missing one, fails the Hilbert identity and the family sizes alone
-    rep = verify_stanley(n, k, check_rank=True)
-    assert not rep.passed
-    failing = _SCRIPT_FAULT_FAILURES[script_fault][n, k]
-    assert rep.counts["hilbert_failures"] == rep.counts["family_size_mismatches"] == failing
-    assert rep.counts["triangle_violations"] == rep.counts["rank_failures"] == 0
-    assert rep.counts["rank_checked"] == rep.counts["supports"]
-    assert rep.counts["min_Z"] == n - 1
-    assert len(rep.failures) == failing
+    _fails_verify(script_fault, n, k, check_rank=True)
+
+
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4), (9, 4)])
+def test_script_fault_fails_verify_without_rank(script_fault, n, k):
+    # the row check, not the rank check, catches another generator
+    _fails_verify(script_fault, n, k, check_rank=False)
+
+
+def test_other_generator_fails_the_row_check_alone(monkeypatch):
+    # at (6,3), row 20 (S={1,2,3,4,5}, removed 6) names {1,2,4} instead of
+    # {1,2,3}; the counts, the triangle and the rank check all pass on it
+    assert _real_script(6, 3)[20] == (0b11111, 6, 0b111)
+    assert _other_generator(6, 3)[20] == (0b11111, 6, 0b1011)
+    monkeypatch.setattr(decomposition, "_script", _other_generator)
+    assert verify_stanley(6, 3, check_rank=True).failures == [
+        "summand S={1,2,3,4,5} removed=6 G={1,2,4}: not an even stop of G's chain"
+    ]
 
 
 def test_script_order_is_not_a_fault(monkeypatch):
