@@ -13,6 +13,7 @@ from .report import Report
 from .subsets import Subset, check_ground, lattice_path, parse_subset
 
 import argparse
+import os
 import sys
 
 
@@ -23,11 +24,69 @@ def _dumps(obj) -> str:
     return json.dumps(obj)
 
 
-def ProcessPoolExecutor(*args, **kwargs):
-    """The pool for ``verify --jobs``, imported on first use: only a run that
-    starts one pays for importing ``concurrent.futures``."""
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(*args, **kwargs)
+def _verify_tasks(tasks: list[tuple], workers: int) -> list[Report]:
+    """``verify_stanley`` on every task, in ``workers`` processes counting
+    this one, with the reports in task order.
+
+    Child ``w`` of the ``workers - 1`` forked before any task runs takes
+    ``tasks[w::workers]`` and pickles ``(ok, reports or exception)`` into its
+    own pipe; this process takes ``tasks[0::workers]``, then reads each pipe
+    to EOF.  A task's exception is re-raised here.  A child that sends
+    nothing or exits non-zero raises ``RuntimeError``, so a lost share never
+    reads as a PASS.  Every child is reaped before this returns or raises.
+    ``verify_stanley`` is read off its module at each call, where the
+    benchmark tracer wraps it.
+    """
+    children = []  # (pid, read end of its pipe), not yet reaped
+    try:
+        for w in range(1, workers):
+            import pickle  # only a run that forks pays for importing it
+            read, write = os.pipe()
+            # the command line starts no thread, so the child is a whole copy
+            pid = os.fork()
+            if pid == 0:
+                # leave by os._exit alone: never return into the caller's
+                # stack, never flush stdio buffers copied from the parent
+                code = 1
+                try:
+                    # hold no read end of any pipe: once the parent closes
+                    # one, a write to it must fail, not wait for a reader here
+                    os.close(read)
+                    for _, pipe in children:
+                        pipe.close()
+                    try:
+                        payload = (True, [decomposition.verify_stanley(*task)
+                                          for task in tasks[w::workers]])
+                    except Exception as exc:
+                        payload = (False, exc)
+                    with open(write, "wb") as pipe:
+                        pickle.dump(payload, pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [None] * len(tasks)
+        results[0::workers] = [decomposition.verify_stanley(*task) for task in tasks[0::workers]]
+        for w in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code or not data:
+                raise RuntimeError(f"verify worker {w} exited with code {code} "
+                                   f"after sending {len(data)} bytes")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[w::workers] = value
+        return results
+    finally:
+        # closing a pipe first unblocks a child still writing to it
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def render_path(G: Subset) -> list[str]:
@@ -183,14 +242,9 @@ def cmd_verify(args) -> int:
         decomposition.require_upper_half(args.n, args.k)
         tasks = [(args.n, args.k, rank, args.box)]
 
-    # the pool forks every worker at its first task, so never more than tasks;
-    # verify_stanley is read off the module, where the benchmark tracer wraps it
-    workers = min(args.jobs, len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(decomposition.verify_stanley, *zip(*tasks)))
-    else:
-        results = [decomposition.verify_stanley(*task) for task in tasks]
+    # this process works too, so --jobs W forks W - 1 children, and never more
+    # processes than tasks: none for a single task or for --jobs 1
+    results = _verify_tasks(tasks, min(args.jobs, len(tasks)))
 
     all_passed = all(r.passed for r in results)
     if args.format == "json":
@@ -300,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
                     help=f"exact rank checking (auto: on for n <= {decomposition.RANK_AUTO_MAX_N})")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
-                    help="worker processes for sweeps, at most one per (n, k) task")
+                    help="processes for sweeps, this one included, at most one per (n, k) task")
     _add_format(sp)
     sp.set_defaults(func=cmd_verify)
 

@@ -9,8 +9,8 @@ MAX_SHOWN = 20
 class Report:
     """One check's verdict, its counts, failure messages and text lines.
 
-    Workers of ``verify --jobs`` return reports to the parent process, so a
-    report must pickle.
+    The children that ``verify --jobs`` forks send their reports to the
+    main process pickled, through a pipe, so a report must pickle.
     """
 
     def __init__(self, name: str) -> None:

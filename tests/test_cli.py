@@ -2,13 +2,14 @@
 
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from koszuldepth import cli, decomposition
+from koszuldepth import decomposition
 from koszuldepth.cli import main
 from koszuldepth.report import Report
 
@@ -407,47 +408,128 @@ def test_verify_json(capsys):
 
 
 def test_verify_jobs_flag(capsys):
-    # a real pool of two workers, whose executor cli imports on first use,
-    # maps verify_stanley over the tasks' argument columns and prints
-    # exactly what one process prints, the box check included
-    for extra in ([], ["--box", "1"], ["--box", "1", "--format", "json"]):
-        serial = run(capsys, "verify", "--all-n", "4", "--jobs", "1", *extra)
-        pooled = run(capsys, "verify", "--all-n", "4", "--jobs", "2", *extra)
-        assert serial[0] == 0 and "conclusion: sdepth M(4,2)" in serial[1]
-        assert ("hilbert identity (box): " in serial[1]) == bool(extra)
-        assert pooled == serial
+    # this process and its forked children split the tasks by stride and
+    # print exactly what one process prints, the box check and JSON included;
+    # at --all-n 7 the 15 tasks give strides of unequal length, and --jobs 7
+    # asks for more processes than --all-n 4 has tasks
+    for sweep in (["--all-n", "4"], ["--all-n", "7"]):
+        for extra in ([], ["--box", "1"], ["--box", "1", "--format", "json"]):
+            serial = run(capsys, "verify", *sweep, "--jobs", "1", *extra)
+            assert serial[0] == 0 and "sdepth M(4,2)" in serial[1]
+            assert ("hilbert identity (box): " in serial[1]) == bool(extra)
+            for jobs in ("2", "3", "7"):
+                assert run(capsys, "verify", *sweep, "--jobs", jobs, *extra) == serial
 
 
-def test_verify_pool_never_exceeds_the_tasks(capsys, monkeypatch):
-    # the process pool forks all its workers at the first task, so --jobs W
-    # must start no more workers than there are tasks, and none for one task;
-    # the fake pool records its size and runs the tasks in this process
-    sizes = []
+def test_verify_forks_never_more_processes_than_tasks(capsys, monkeypatch):
+    # --jobs W counts this process, so it forks min(W, tasks) - 1 children:
+    # none for one task or for --jobs 1
+    forks = []
+    fork = os.fork
 
-    class FakePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counted():
+        forks.append(1)
+        return fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "fork", counted)
     expected = {}
     for argv in (["7", "3"], ["--all-n", "3"], ["--all-n", "4"]):
         expected[tuple(argv)] = run(capsys, "verify", *argv)
-    assert sizes == []
+    assert forks == []
     # (n, k) tasks: 1 for one pair, 3 up to n = 3, 5 up to n = 4
-    for argv, jobs, size in ((["7", "3"], 6, None), (["--all-n", "3"], 6, 3),
-                             (["--all-n", "4"], 6, 5), (["--all-n", "4"], 2, 2)):
+    for argv, jobs, children in ((["7", "3"], 6, 0), (["--all-n", "3"], 6, 2),
+                                 (["--all-n", "4"], 6, 4), (["--all-n", "4"], 2, 1),
+                                 (["--all-n", "4"], 1, 0)):
         assert run(capsys, "verify", *argv, "--jobs", str(jobs)) == expected[tuple(argv)]
-        assert sizes == ([] if size is None else [size])
-        sizes.clear()
+        assert len(forks) == children
+        forks.clear()
+
+
+def _fault_at(monkeypatch, task, fault):
+    """Make ``verify_stanley`` call ``fault()`` on the (n, k) ``task``."""
+    verify = decomposition.verify_stanley
+
+    def faulty(n, k, *rest):
+        if (n, k) == task:
+            fault()
+        return verify(n, k, *rest)
+
+    monkeypatch.setattr(decomposition, "verify_stanley", faulty)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+@pytest.mark.parametrize("task", [(3, 1), (3, 2), (4, 3)])
+def test_verify_task_error_as_in_one_process(capsys, monkeypatch, task, jobs):
+    # the tasks of --all-n 4 are (2,1) (3,1) (3,2) (4,2) (4,3): at --jobs 2
+    # the child runs (3,1) and (4,2), at --jobs 3 child 1 runs (3,1) and (4,3)
+    # and child 2 runs (3,2); an error raised in any share is reported as
+    # the serial run reports it, and every child is reaped
+    def fault():
+        raise ValueError(f"no verdict for {task}")
+
+    _fault_at(monkeypatch, task, fault)
+    serial = run(capsys, "verify", "--all-n", "4", "--jobs", "1")
+    assert serial == (2, "", f"error: no verdict for {task}\n")
+    assert run(capsys, "verify", "--all-n", "4", "--jobs", jobs) == serial
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["exit 0", "exit 3", "killed", "exit 5 after sending"])
+def test_verify_lost_child_share_raises(capsys, monkeypatch, how):
+    # a child that leaves without sending its reports, or exits non-zero
+    # after sending them, makes the run raise, never print a verdict; the
+    # faults fire only outside this process
+    parent = os.getpid()
+
+    def fault():
+        assert os.getpid() != parent, "the task (3,1) ran in the main process"
+        if how == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(3 if how == "exit 3" else 0)
+
+    if how == "exit 5 after sending":
+        leave = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: leave(code or 5))
+    else:
+        _fault_at(monkeypatch, (3, 1), fault)
+    with pytest.raises(RuntimeError, match="verify worker 1 exited"):
+        main(["verify", "--all-n", "4", "--jobs", "2"])
+    assert "PASS" not in capsys.readouterr().out
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("jobs", ["2", "3"])
+def test_verify_main_share_error_unblocks_a_writing_child(capsys, monkeypatch, jobs):
+    # each child's reports overfill its pipe while this process's own share
+    # raises: no child may stay blocked on its write, and each is reaped
+    verify = decomposition.verify_stanley
+
+    def faulty(n, k, *rest):
+        if (n, k) == (2, 1):
+            raise ValueError("no verdict for (2, 1)")
+        report = verify(n, k, *rest)
+        report.lines.append("x" * (1 << 20))
+        return report
+
+    monkeypatch.setattr(decomposition, "verify_stanley", faulty)
+
+    def timeout(*_):
+        raise TimeoutError("verify did not return")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    try:
+        assert run(capsys, "verify", "--all-n", "4", "--jobs", jobs) == (
+            2, "", "error: no verdict for (2, 1)\n")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
 
 
 def test_check_commands(capsys):
@@ -558,23 +640,27 @@ def test_benchmark_tracer_smoke_run(workload):
 def test_cli_import_skips_dataclasses_and_the_pool():
     # every koszuldepth process pays for its imports, and the command line
     # needs neither dataclasses nor concurrent.futures nor json to start;
-    # only a pool run imports the executor, and only JSON output json.  Only
-    # modules new after the interpreter's own start-up count, so a site hook
-    # that loads one of them does not trip the test.
+    # only JSON output imports json, and a sweep over --jobs 2 forks its
+    # helper without concurrent.futures or multiprocessing.  Only modules
+    # new after the interpreter's own start-up count, so a site hook that
+    # loads one of them does not trip the test.
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    script = (
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "import koszuldepth.cli\n"
-        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "koszuldepth.cli" in loaded
-    assert {"dataclasses", "concurrent.futures", "json"} & loaded == set()
+    for run_verify in ("", "koszuldepth.cli.main(['verify', '--all-n', '4', '--jobs', '2'])\n"):
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import koszuldepth.cli\n"
+            + run_verify +
+            "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=REPO
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert "koszuldepth.cli" in loaded
+        assert ("PASS" in loaded) == bool(run_verify)
+        assert {"dataclasses", "concurrent.futures", "multiprocessing", "json"} & loaded == set()
 
 
 def test_package_import_loads_only_the_named_module():
