@@ -1,24 +1,25 @@
-"""The integer-mask engine: the peak scan, the chains, matching tables and
-submask walks.
+"""The integer-mask engine: the peak scan, the chain table, matching tables
+and submask walks.
 
 Bit e-1 encodes element e, so on a fixed cardinality level the squashed
 order is plain integer order on masks.  ``scan`` finds the peaks of one
-lattice path, for the subset-level maps in :mod:`koszuldepth.matching` and
-the k-subset table; ``match_tables`` finds those of every mask at once, by
-extending every prefix by one position (for the matching-law sweeps of
-``check-matching``).
-``chain_insertions`` reads a whole upward chain off one path by its closed
-form, so the k-subset table, and everything ``verify`` runs on, needs no
-table over the 2^n masks.  The tables are cached for the last ``n`` (and
-``k``) only: ``verify --all-n`` hands its tasks out in increasing (n, k)
-order, so no process comes back to an earlier size, and a larger cache only
-holds memory.
+lattice path, for the subset-level maps in :mod:`koszuldepth.matching`;
+``match_tables`` finds those of every mask at once, by extending every
+prefix by one position (for the matching-law sweeps of ``check-matching``).
+``k_subset_table`` reads every k-subset's upward chain and distinguished
+facet off its path by the chain lemma, in one pass that extends every
+suffix by one position, so everything ``verify`` runs on needs no table
+over the 2^n masks.  The tables are cached for the last ``n`` (and ``k``)
+only: ``verify --all-n`` hands its tasks out in increasing (n, k) order, so
+no process comes back to an earlier size, and a larger cache only holds
+memory.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 from typing import Iterator, NamedTuple
 
 from .subsets import check_ground
@@ -83,30 +84,6 @@ def match_tables(n: int) -> MatchTables:
     return MatchTables(n, psi_t, phi_t)
 
 
-def chain_insertions(n: int, g: int) -> int:
-    """The elements that the upward chain phi(g), phi^2(g), ... inserts, as a
-    mask: the non-members p of g whose height h(p) on g's lattice path is at
-    least h(q) for every q > p (README, "The chain lemma").
-
-    One right-to-left pass, from h(n) = 2|g| - n, keeps the largest height
-    seen so far.
-    """
-    height = 2 * g.bit_count() - n
-    best = -n - 1
-    added = 0
-    for pos in range(n - 1, -1, -1):
-        if (g >> pos) & 1:
-            if height > best:
-                best = height
-            height -= 1
-        else:
-            if height >= best:
-                best = height
-                added |= 1 << pos
-            height += 1
-    return added
-
-
 def submasks(mask: int) -> Iterator[int]:
     """All subsets of ``mask`` as masks, in decreasing order, ending with 0."""
     sub = mask
@@ -142,20 +119,62 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
-    """Per k-subset g over {1..n}, k >= 1: ``(added, facet, probe)``.
+def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int, int]]:
+    """Per k-subset g over {1..n}, k >= 1, in ascending mask order:
+    ``(added, facet, probe, odd)``.
 
-    ``added`` is :func:`chain_insertions`.  The chain inserts its elements
-    in increasing order, so ``added`` fixes every chain mask.  ``facet`` is
-    the distinguished facet psi_tilde(g), g without the pivot of
-    :func:`scan`; ``probe`` holds the elements outside g below that pivot.
+    ``added`` holds the elements a_1 < a_2 < ... that g's upward chain
+    inserts, in that order, so it fixes every chain mask: the non-members
+    p whose height on g's lattice path is at least every later height
+    (README, "The chain lemma").  ``odd`` holds a_1, a_3, ..., the next
+    insertion after each chain prefix of even length, and bit n, above
+    every element, when ``added`` has even size: past the chain's end.
+    ``facet`` is the distinguished facet psi_tilde(g), g without its pivot,
+    the first member where the height over the members alone peaks;
+    ``probe`` holds the elements outside g below the pivot.
+
+    One pass from position n down to 1 extends every suffix by one
+    position, in lists per member count (README, "The chain table in one
+    pass").  Per suffix, ``rise`` is the largest sum of the steps right
+    after the position (+1 a member, -1 not; 0 for none), so a non-member
+    is inserted where it is 0; ``peak`` is how far the highest member after
+    the position lies above it (at most 0 for none), so a member is the
+    pivot so far where it is at most 0.  The chain's end counts as an
+    insertion at bit n, and each insertion, the lowest so far, turns the
+    even insertions above it odd and the odd ones even.
     """
     check_ground(n)
-    out = {}
-    for g in sized_submasks((1 << n) - 1, k):
-        pivot = 1 << (scan(n, g)[2] - 1)
-        out[g] = (chain_insertions(n, g), g ^ pivot, (pivot - 1) & ~g)
-    return out
+    end = 1 << n
+    # per member count: masks, rise, peak, pivot, added and odd, one list each
+    by_count = {0: ([0], [0], [0], [0], [end], [end])}
+    for pos in range(n, 0, -1):
+        bit = 1 << (pos - 1)
+        grown = {}
+        # the pos - 1 positions left must hold the members still missing
+        for m in range(max(k - pos + 1, 0), min(k, n - pos + 1) + 1):
+            parts = []
+            if m in by_count:
+                masks, rise, peak, pivot, added, odd = by_count[m]
+                parts.append((
+                    masks, [r - 1 if r else 0 for r in rise], [p - 1 for p in peak], pivot,
+                    [a if r else a | bit for r, a in zip(rise, added)],
+                    [o if r else a ^ o | bit for r, a, o in zip(rise, added, odd)],
+                ))
+            if m - 1 in by_count:
+                masks, rise, peak, pivot, added, odd = by_count[m - 1]
+                parts.append((
+                    [g | bit for g in masks], [r + 1 for r in rise],
+                    [p + 1 if p > 0 else 1 for p in peak],
+                    [v if p > 0 else bit for p, v in zip(peak, pivot)], added, odd,
+                ))
+            grown[m] = tuple(map(add, *parts)) if len(parts) == 2 else parts[0]
+        by_count = grown
+    masks, _, _, pivot, added, odd = by_count[k]
+    # the lists are ordered by the lowest position first, the table by mask
+    return {
+        masks[i]: (added[i] ^ end, masks[i] ^ pivot[i], (pivot[i] - 1) & ~masks[i], odd[i])
+        for i in sorted(range(len(masks)), key=masks.__getitem__)
+    }
 
 
 def chain_index(added: int, m: int) -> int:

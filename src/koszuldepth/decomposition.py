@@ -24,8 +24,8 @@ from .bits import (
     chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks,
 )
 from .maskchecks import (
-    contribution_counts, even_families, even_members, even_stop_row, even_stops,
-    facet_row_table, rank_full_mod2, triangle_pairs,
+    contribution_counts, even_families, even_members, even_stop_row, facet_row_table,
+    k_polynomial, k_polynomial_by_size, rank_full_mod2, triangle_pairs,
 )
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m
 from .report import Report
@@ -127,11 +127,14 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     the paper's G(S) = psi^(|S|-k)(S) with the variable phi(S) inserts
     removed: S lies on the chain of G, and psi inverts phi.
     """
-    rows = [
-        (g | prefix, a.bit_length() or None, g)
-        for g, (added, _, _) in k_subset_table(n, k).items()
-        for prefix, a in even_stops(added)
-    ]
+    end = 1 << n
+    rows = []
+    for g, (added, _, _, odd) in k_subset_table(n, k).items():
+        # per even j, the bit of a_{j+1}, or past the chain's end bit n
+        while odd:
+            a = odd & -odd
+            odd ^= a
+            rows.append((g | added & (a - 1), a.bit_length() if a != end else None, g))
     # by level, then by mask: two stable sorts keyed on ints the rows already
     # hold, where a key tuple per row raised the peak memory of `verify`
     rows.sort(key=itemgetter(0))
@@ -251,8 +254,10 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree") -> Report:
     only mode; the box identity is :func:`verify_box`."""
     if mode != "squarefree":
         raise ValueError(f"unknown mode {mode!r}")
-    counts = contribution_counts(decomp.n, [(sm.S.mask, sm.removed) for sm in decomp.summands])
-    return _squarefree_hilbert(decomp.n, decomp.k, counts)
+    n, k = decomp.n, decomp.k
+    summands = [(sm.S.mask, sm.removed) for sm in decomp.summands]
+    dims = _dims_by_size(n, k)
+    return _squarefree_hilbert(n, k, dims, _counts_off_target(n, summands, [dims]))
 
 
 def verify_box(n: int, k: int, box_depth: int) -> Report:
@@ -288,17 +293,34 @@ def _by_support(n: int, by_size: list[int]) -> Iterator[int]:
     return map(by_size.__getitem__, map(int.bit_count, range(1 << n)))
 
 
-def _squarefree_hilbert(n: int, k: int, counts: list[int]) -> Report:
-    """The squarefree identity, given the number of contributing summands
-    per support mask."""
-    rep = Report(f"hilbert identity n={n} k={k} (squarefree)")
-    # the dimension depends on the support size only: one oracle call per size
-    by_size = [0] + [
+def _dims_by_size(n: int, k: int) -> list[int]:
+    """The dimension at a squarefree degree per support size, 0 at the empty
+    support: it depends on the size only, so one oracle call per size."""
+    return [0] + [
         dim_oracle(n, k, Multidegree(n, [1] * s + [0] * (n - s))) for s in range(1, n + 1)
     ]
-    if any(map(ne, counts, _by_support(n, by_size))):
+
+
+def _counts_off_target(n: int, summands, targets) -> list[int] | None:
+    """The number of summands contributing at each support mask, if at some
+    support M it differs from ``target[|M|]`` for one of the ``targets``;
+    else None.  Decided on K-polynomials, which agree exactly when the
+    counts do (README, lemma 2), so only a mismatch runs the transform."""
+    coeffs = k_polynomial(n, summands)
+    for target in targets:
+        if any(map(ne, coeffs, _by_support(n, k_polynomial_by_size(target)))):
+            return contribution_counts(n, summands)
+    return None
+
+
+def _squarefree_hilbert(n: int, k: int, dims: list[int], counts: list[int] | None) -> Report:
+    """The squarefree identity, given the dimension per support size and
+    the number of contributing summands per support mask, or None when the
+    K-polynomials agree, so that every support meets its dimension."""
+    rep = Report(f"hilbert identity n={n} k={k} (squarefree)")
+    if counts is not None:
         for m_mask in range(1, 1 << n):
-            got, expect = counts[m_mask], by_size[m_mask.bit_count()]
+            got, expect = counts[m_mask], dims[m_mask.bit_count()]
             if got != expect:
                 rep.fail(
                     f"support {Subset.from_mask(n, m_mask)}: "
@@ -342,7 +364,7 @@ def _index_step(table, m: int, g: int, h: int) -> tuple[int, int, int, int]:
     the lattice path at p: p minus twice the non-members below p, which are
     exactly g's probe.
     """
-    added, t, probe = table[g]
+    added, t, probe, _ = table[g]
     ind_g = chain_index(added, m)
     if (g ^ t).bit_length() >= 2 * probe.bit_count():
         case, expected = 1, ind_g + 1
@@ -394,7 +416,7 @@ def index_step_sweep(n: int) -> Report:
         # fetched once: the table cache holds only the last (n, k)
         table = k_subset_table(n, size)
         before = len(failing)
-        for g_mask, (added_g, t_mask, probe) in table.items():
+        for g_mask, (added_g, t_mask, probe, _) in table.items():
             rest = probe
             while rest:
                 low = rest & -rest
@@ -448,10 +470,12 @@ def verify_stanley(
 ) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    Every check reads the script's rows ``(S, removed, G)``.  One subset-sum
-    transform over them gives every support's summand count; the squarefree
-    Hilbert identity compares the counts with the dimension oracle (one
-    call per support size), the family sizes with C(|M|-1, k-1).  One pass
+    Every check reads the script's rows ``(S, removed, G)``.  Pushed into
+    one list over the masks, they are the decomposition's squarefree
+    K-polynomial; the squarefree Hilbert identity compares it with the
+    K-polynomial of the dimensions (one oracle call per support size), the
+    family sizes with that of C(|M|-1, k-1), and only a mismatch runs the
+    subset-sum transform, whose counts name each failing support.  One pass
     names each row that is not an even stop of G's chain and counts the
     slim summands; with the Hilbert identity, which fails on a missing or
     repeated row, each support's generators are its k-subsets of even index
@@ -472,17 +496,19 @@ def verify_stanley(
     script = _script(n, k)
     rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
 
-    counts = contribution_counts(n, script)
-    hilbert = _squarefree_hilbert(n, k, counts)
+    dims = _dims_by_size(n, k)
+    # the counts below size k are 0, as C(|M|-1, k-1) is there
+    family_sizes = [0] + [comb(s - 1, k - 1) for s in range(1, n + 1)]
+    # a set: where the dimensions are the family sizes, one pass decides both
+    counts = _counts_off_target(n, script, {tuple(dims), tuple(family_sizes)})
+    hilbert = _squarefree_hilbert(n, k, dims, counts)
     rep.lines.extend(hilbert.lines)
     rep.failures.extend(hilbert.failures)
     rep.passed &= hilbert.passed
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
-    # the counts below size k are 0, as C(|M|-1, k-1) is there
-    family_sizes = [0] + [comb(s - 1, k - 1) for s in range(1, n + 1)]
-    size_mismatches = sum(map(ne, counts, _by_support(n, family_sizes)))
+    size_mismatches = 0 if counts is None else sum(map(ne, counts, _by_support(n, family_sizes)))
     rep.passed &= not size_mismatches
     table = k_subset_table(n, k)
     strays = slim = 0

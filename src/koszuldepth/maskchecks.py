@@ -1,12 +1,15 @@
 """Verification kernels on masks, for :mod:`koszuldepth.decomposition`.
 
 The checks that let ``verify`` decide without visiting a support run on the
-upward chains of :func:`koszuldepth.bits.k_subset_table` (``even_stops``,
-from which the script is built, ``even_stop_row``, which checks each row
-of the script against its generator's chain, and ``triangle_pairs``, which
-also yields a witness support per violating pair) and on one subset-sum
-transform over the script's rows (``contribution_counts``, whose counts
-are also the family sizes); the README states the lemmas behind them.  A
+upward chains of :func:`koszuldepth.bits.k_subset_table`, whose ``odd``
+field holds each chain's stops (``even_stop_row``, which checks each row of
+the script against its generator's chain, and ``triangle_pairs``, which also
+yields a witness support per violating pair), and on the script's rows
+pushed into their squarefree K-polynomial (``k_polynomial``), which decides
+the summand counts, and so the family sizes, by comparison with a target
+that depends on the support size only (``k_polynomial_by_size``).  Only a
+mismatch runs the subset-sum transform (``contribution_counts``), to count
+the summands per support; the README states the lemmas behind them.  A
 support's family is its k-subsets of even index (``even_members`` for one
 support).  The rank check mod 2 reads every family at once from one push
 of the script's rows (``even_families``), so it tests the generators the
@@ -19,6 +22,7 @@ the support's own sign matrix it only gains zero columns, and
 
 from __future__ import annotations
 
+from math import comb
 from operator import add
 from typing import Iterable, Iterator
 
@@ -36,32 +40,6 @@ def even_members(table, m: int, k: int) -> list[tuple[int, int]]:
     return members
 
 
-def odd_positions(mask: int) -> int:
-    """The first, third, fifth, ... elements of ``mask``, ascending."""
-    odd = 0
-    while mask:
-        low = mask & -mask
-        odd |= low
-        mask ^= low
-        mask &= mask - 1
-    return odd
-
-
-def even_stops(added: int) -> list[tuple[int, int]]:
-    """Per even j, the chain's insertions ``a_1..a_j`` as a mask and the bit
-    of ``a_{j+1}`` (0 past the chain's end): g has index j in M exactly when
-    M holds g and the mask and lacks the bit."""
-    odd = odd_positions(added)
-    out = []
-    while odd:
-        low = odd & -odd
-        out.append((added & (low - 1), low))
-        odd ^= low
-    if not added.bit_count() & 1:
-        out.append((added, 0))
-    return out
-
-
 def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
     """Every triple (g, h, r) of k-subsets g and h and a support r on which
     both have even index and h, an earlier k-subset, contains g's
@@ -73,22 +51,23 @@ def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
     without visiting supports").  Per even i: a_{i+1} is not x, and some
     even j < len(b) has b_{j+1} outside ``g | x | a_1..a_i`` and no earlier
     b equal to a_{i+1}, or j = len(b) is even and b lacks a_{i+1}.  r is R
-    for the first such i and the lowest such j.
+    for the first such i and the lowest such j.  The table's ``odd`` field
+    gives the bits of a_{i+1} and b_{j+1}.
     """
     table = k_subset_table(n, k)
-    # per chain, the bits of b_{j+1} for even j; for an even j = len(b),
-    # past the chain's end, a bit above every element
-    odd = {
-        g: odd_positions(added) | (0 if added.bit_count() & 1 else 1 << n)
-        for g, (added, _, _) in table.items()
-    }
-    for g, (added, t, probe) in table.items():
-        stops = [(g | prefix, a) for prefix, a in even_stops(added)]
+    for g, (added, t, probe, odd) in table.items():
+        # per even i, g | a_1..a_i and the bit of a_{i+1}; past the chain's
+        # end, a bit above every element, which no chain inserts
+        stops = []
+        while odd:
+            a = odd & -odd
+            odd ^= a
+            stops.append((g | added & (a - 1), a))
         while probe:
             x = probe & -probe
             probe ^= x
             h = t | x
-            b_added, b_odd = table[h][0], odd[h]
+            b_added, _, _, b_odd = table[h]
             for base, a in stops:
                 if a == x:
                     continue
@@ -121,15 +100,36 @@ def subset_sums(values: list[int], n: int) -> None:
                 values[lo + step::span] = map(add, values[lo + step::span], values[lo::span])
 
 
+def k_polynomial(n: int, summands) -> list[int]:
+    """The summands' squarefree K-polynomial, the numerator of their Hilbert
+    series over prod(1 - x_i), as its coefficient per mask over {1..n}: +1
+    at S and -1 at S plus the removed element, per summand ``(S, removed,
+    ...)``.  Its sums over submasks count the summands per support."""
+    coeffs = [0] * (1 << n)
+    # indexing the rows, where unpacking `s, removed, *_` built a list per row
+    for row in summands:
+        s, removed = row[0], row[1]
+        coeffs[s] += 1
+        if removed is not None:
+            coeffs[s | 1 << (removed - 1)] -= 1
+    return coeffs
+
+
+def k_polynomial_by_size(by_size: list[int]) -> list[int]:
+    """The K-polynomial of the squarefree series whose value at every
+    support M is ``by_size[|M|]``, per size s of a mask T: the Moebius sum
+    over the submasks of T, sum_j (-1)^(s-j) C(s, j) by_size[j]."""
+    return [
+        sum((-1) ** (s - j) * comb(s, j) * by_size[j] for j in range(s + 1))
+        for s in range(len(by_size))
+    ]
+
+
 def contribution_counts(n: int, summands) -> list[int]:
     """Per support mask, how many summands ``(S, removed, ...)`` contribute
-    there, those with S inside it and the removed element outside: +1 at S
-    and -1 at S plus the removed element, summed over submasks."""
-    counts = [0] * (1 << n)
-    for s, removed, *_ in summands:
-        counts[s] += 1
-        if removed is not None:
-            counts[s | 1 << (removed - 1)] -= 1
+    there, those with S inside it and the removed element outside: the sums
+    of :func:`k_polynomial` over submasks."""
+    counts = k_polynomial(n, summands)
     subset_sums(counts, n)
     return counts
 
@@ -168,8 +168,11 @@ def even_stop_row(table, s: int, removed: int | None, g: int) -> bool:
     entry = table.get(g)
     if entry is None or s & g != g:
         return False
-    a = 0 if removed is None else 1 << (removed - 1)
-    return (s ^ g, a) in even_stops(entry[0])
+    added, _, _, odd = entry
+    # the next insertion's bit; past the chain's end, the bit above every
+    # element that odd holds when the chain is even
+    a = odd & ~added if removed is None else 1 << (removed - 1) & added
+    return bool(a & odd) and s ^ g == added & (a - 1)
 
 
 def facet_row_table(n: int, k: int) -> dict[int, int]:

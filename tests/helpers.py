@@ -2,11 +2,15 @@
 
 Everything here is deliberately written from first principles (plain loops,
 brute enumeration, sympy for exact rank, list elimination for rank mod 2) so
-that it shares no code path with the package under test.  Two kinds are the
-exception: the chain oracles at the end build on the package's chain
-builder, and ``support_major_index_sweep``, the index-increment sweep as one
+that it shares no code path with the package under test.  Three kinds are
+the exception: the chain oracles at the end build on the package's chain
+builder; ``support_major_index_sweep``, the index-increment sweep as one
 loop per support, runs the package's per-triple step, so that it checks how
-the sweep groups supports, not the step itself.
+the sweep groups supports, not the step itself; and ``naive_k_polynomial``
+sums the package's dimension oracle, which the tests check against boundary
+ranks.  ``k_subset_table_per_subset`` is the chain table one k-subset at a
+time, by one ``chain_insertions`` and one ``scan_pivot`` each: the reference
+for the table's one pass, and the base of the producer faults.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import sympy
 
 from koszuldepth import decomposition
 from koszuldepth.bits import sized_submasks
-from koszuldepth.koszul import KoszulChain, Multidegree, generator_m
+from koszuldepth.koszul import KoszulChain, Multidegree, dim_oracle, generator_m
 from koszuldepth.report import Report
 from koszuldepth.subsets import Subset
 
@@ -129,6 +133,85 @@ def script_by_psi(tables, k: int) -> tuple[tuple[int, int | None, int], ...]:
                     raise ValueError(f"downward matching undefined below mask {s_mask:#x}")
             out.append((s_mask, None if up is None else (up ^ s_mask).bit_length(), g_mask))
     return tuple(out)
+
+
+def chain_insertions(n: int, g: int) -> int:
+    """The elements that the upward chain phi(g), phi^2(g), ... inserts, as a
+    mask: the non-members p of g whose height h(p) on g's lattice path is at
+    least h(q) for every q > p (README, "The chain lemma").
+
+    One right-to-left pass, from h(n) = 2|g| - n, keeps the largest height
+    seen so far.
+    """
+    height = 2 * g.bit_count() - n
+    best = -n - 1
+    added = 0
+    for pos in range(n - 1, -1, -1):
+        if (g >> pos) & 1:
+            if height > best:
+                best = height
+            height -= 1
+        else:
+            if height >= best:
+                best = height
+                added |= 1 << pos
+            height += 1
+    return added
+
+
+def scan_pivot(n: int, mask: int) -> int:
+    """The pivot of ``psi_tilde``: the first member where the height over
+    the members alone peaks, by one left-to-right pass (0 for the empty
+    mask)."""
+    height, top, pivot = 0, -n - 1, 0
+    for pos in range(1, n + 1):
+        if (mask >> (pos - 1)) & 1:
+            height += 1
+            if height > top:
+                top, pivot = height, pos
+        else:
+            height -= 1
+    return pivot
+
+
+def even_stops(added: int) -> list[tuple[int, int]]:
+    """Per even j, the chain's insertions a_1..a_j as a mask and the bit of
+    a_{j+1}, 0 past the chain's end: g has index j in M exactly when M
+    holds g and the mask and lacks the bit."""
+    rest = added
+    out = []
+    j = 0
+    while rest:
+        low = rest & -rest
+        if not j & 1:
+            out.append((added & (low - 1), low))
+        rest ^= low
+        j += 1
+    if not j & 1:
+        out.append((added, 0))
+    return out
+
+
+def k_subset_entry(n: int, g: int, insertions=chain_insertions, pivot_of=scan_pivot):
+    """The chain table's entry ``(added, facet, probe, odd)`` of g, from one
+    ``insertions`` and one ``pivot_of`` call, with ``odd`` read off
+    :func:`even_stops` (bit n for the stop past the chain's end)."""
+    added = insertions(n, g)
+    pivot = 1 << (pivot_of(n, g) - 1)
+    odd = 0
+    for _, a in even_stops(added):
+        odd |= a or 1 << n
+    return added, g ^ pivot, (pivot - 1) & ~g, odd
+
+
+def k_subset_table_per_subset(n: int, k: int, insertions=chain_insertions, pivot_of=scan_pivot):
+    """The reference for ``bits.k_subset_table``: :func:`k_subset_entry` per
+    k-subset g, ascending.  The producer faults pass their own
+    ``insertions`` or ``pivot_of``."""
+    return {
+        g: k_subset_entry(n, g, insertions, pivot_of)
+        for g in sized_submasks((1 << n) - 1, k)
+    }
 
 
 def naive_squashed_precedes(a: set[int], b: set[int]) -> bool:
@@ -315,7 +398,7 @@ def support_major_index_sweep(n: int):
         for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
             table = by_size[size]
             for g_mask in sized_submasks(m_mask, size):
-                _, t_mask, probe = table[g_mask]
+                _, t_mask, probe, _ = table[g_mask]
                 rest = m_mask & probe
                 while rest:
                     low = rest & -rest
@@ -390,11 +473,15 @@ def naive_inverse_failures(tables) -> list[str]:
 def naive_support_counts(n: int, script) -> list[int]:
     """Per support mask, how many script entries (S, removed, G) contribute
     there: every superset of S that avoids the removed variable, walked as
-    the submasks of the free variables."""
+    the submasks of the free variables; none when S holds the removed
+    variable."""
     counts = [0] * (1 << n)
     full = (1 << n) - 1
     for s, removed, _ in script:
-        free = full & ~s & ~(0 if removed is None else 1 << (removed - 1))
+        a = 0 if removed is None else 1 << (removed - 1)
+        if s & a:
+            continue
+        free = full & ~s & ~a
         sub = free
         while True:
             counts[s | sub] += 1
@@ -402,6 +489,23 @@ def naive_support_counts(n: int, script) -> list[int]:
                 break
             sub = (sub - 1) & free
     return counts
+
+
+def naive_k_polynomial(n: int, k: int) -> list[int]:
+    """The squarefree K-polynomial of M(n, k), per mask T over {1..n}: by
+    inclusion-exclusion over the submasks M of T, the sum of
+    (-1)^(|T|-|M|) times the dimension oracle at the indicator of M."""
+    dims = [
+        dim_oracle(n, k, Multidegree(n, [(m >> i) & 1 for i in range(n)])) for m in range(1 << n)
+    ]
+    out = []
+    for t in range(1 << n):
+        total = 0
+        for m in range(t + 1):
+            if m & ~t == 0:
+                total += (-1) ** (t.bit_count() - m.bit_count()) * dims[m]
+        out.append(total)
+    return out
 
 
 def _mask(elements) -> int:

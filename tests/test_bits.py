@@ -1,6 +1,7 @@
 """The integer-mask engine against the independent oracles."""
 
 import ast
+import random
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -10,7 +11,6 @@ import pytest
 import koszuldepth
 from koszuldepth.bits import (
     chain_index,
-    chain_insertions,
     k_subset_table,
     match_tables,
     scan,
@@ -20,6 +20,9 @@ from koszuldepth.bits import (
 
 from helpers import (
     all_element_sets,
+    chain_insertions,
+    k_subset_entry,
+    k_subset_table_per_subset,
     naive_facet,
     naive_index_up,
     naive_path,
@@ -110,41 +113,96 @@ def test_lattice_path_called_only_for_drawing():
 
 
 def test_one_chain_engine():
-    # verify runs on the chains' closed form alone: only the matching-law
-    # sweeps build the tables over all masks, and only the k-subset table
-    # reads the closed form
-    callers = {"match_tables": set(), "chain_insertions": set()}
+    # verify runs on the chain table alone: only the matching-law sweeps
+    # build the tables over all masks, and only the single-subset maps scan
+    # one path; the table reads every chain and facet in its own pass
+    callers = {"match_tables": set(), "scan": set()}
+    defined = set()
     for path in Path(koszuldepth.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef):
+                defined.add(node.name)
             if isinstance(node, ast.Call):
                 func = node.func
                 name = getattr(func, "id", None) or getattr(func, "attr", None)
                 if name in callers:
                     callers[name].add(path.name)
-    assert callers == {"match_tables": {"checks.py"}, "chain_insertions": {"bits.py"}}
+    assert callers == {"match_tables": {"checks.py"}, "scan": {"matching.py"}}
+    assert "chain_insertions" not in defined
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_k_subset_table_equals_the_per_subset_reference(n):
+    # the suffix pass against one chain_insertions and one pivot scan per
+    # k-subset, at every k check-lemma reads, in the same (ascending) order
+    for k in range(1, n + 1):
+        got = k_subset_table(n, k)
+        want = k_subset_table_per_subset(n, k)
+        assert got == want, k
+        assert list(got) == list(want), k
+
+
+@pytest.mark.parametrize("n", [18, 19, 20])
+def test_k_subset_table_sampled_at_large_n(n):
+    # a seeded sample of entries, at k = n/2 and one more k, in ascending order
+    rng = random.Random(n)
+    for k in (n // 2, rng.randrange(1, n + 1)):
+        table = k_subset_table(n, k)
+        keys = list(table)
+        assert len(keys) == comb(n, k)
+        assert keys == sorted(keys)
+        assert all(g.bit_count() == k for g in keys)
+        for g in rng.sample(keys, min(len(keys), 300)):
+            assert table[g] == k_subset_entry(n, g), (k, g)
+
+
+def _stop_field_readers(tree):
+    """Per function of a module, whether it reads the stop field of a chain
+    table entry (unpacks an entry, not a call's result, into four names and
+    binds the fourth, or indexes it at 3) and whether it calls
+    ``k_subset_table``."""
+    for fn in tree.body:
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        results = {
+            id(target)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            for target in node.targets
+        }
+        reads = calls = False
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store):
+                if id(node) in results:
+                    continue
+                last = node.elts[-1] if len(node.elts) == 4 else None
+                reads |= isinstance(last, ast.Name) and last.id != "_"
+            elif isinstance(node, ast.Subscript):
+                reads |= isinstance(node.slice, ast.Constant) and node.slice.value == 3
+            elif isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls |= name == "k_subset_table"
+        yield fn.name, reads, calls
 
 
 def test_one_family_producer():
     # the families have one derivation from the chains, the script: only
     # the script, the row check against its chains and the triangle test by
-    # pairs read the chains' even stops, and the rank check's push reads
-    # the script's rows, not the chain table
-    callers = set()
+    # pairs read the chain table's stops, and the rank check's push reads
+    # the script's rows, neither the chain table nor its stops
+    readers, callers = set(), set()
     for path in Path(koszuldepth.__file__).parent.glob("*.py"):
-        for fn in ast.parse(path.read_text()).body:
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                    if name in ("even_stops", "k_subset_table"):
-                        callers.add((path.name, fn.name, name))
-    assert {(f, fn) for f, fn, name in callers if name == "even_stops"} == {
+        for name, reads, calls in _stop_field_readers(ast.parse(path.read_text())):
+            if reads:
+                readers.add((path.name, name))
+            if calls:
+                callers.add((path.name, name))
+    assert readers == {
         ("decomposition.py", "_script"),
         ("maskchecks.py", "even_stop_row"),
         ("maskchecks.py", "triangle_pairs"),
     }
-    assert not {c for c in callers if c[1] == "even_families"}
+    assert not {c for c in readers | callers if c[1] == "even_families"}
 
 
 def test_subset_only_parses_and_prints():
@@ -169,7 +227,7 @@ def test_chain_index_equals_naive_index(n):
     for k in range(max(n // 2, 1), n):
         table = k_subset_table(n, k)
         assert len(table) == comb(n, k)
-        for g, (added, facet, probe) in table.items():
+        for g, (added, facet, probe, _) in table.items():
             G = _elements(g)
             assert facet == _mask(naive_facet(n, G))
             pivot = (g ^ facet).bit_length()

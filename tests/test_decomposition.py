@@ -5,7 +5,7 @@ from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from koszuldepth.decomposition import (
     ContributionFamily,
@@ -27,18 +27,21 @@ from koszuldepth.decomposition import (
     verify_stanley,
 )
 from koszuldepth import decomposition, koszul, matching
-from koszuldepth.bits import k_subset_table, match_tables
+from koszuldepth.bits import k_subset_table, match_tables, submasks
 from koszuldepth.koszul import Multidegree
 from koszuldepth.maskchecks import (
-    contribution_counts, even_families, even_members, facet_row_table, triangle_pairs
+    contribution_counts, even_families, even_members, even_stop_row, facet_row_table,
+    k_polynomial, k_polynomial_by_size, triangle_pairs,
 )
 from koszuldepth.subsets import Subset
 
 from helpers import (
     admissible_triples,
     all_element_sets,
+    even_stops,
     naive_admissible,
     naive_contributes,
+    naive_k_polynomial,
     naive_rank_mod2,
     naive_summands,
     naive_support_counts,
@@ -238,6 +241,89 @@ def test_transform_counts_equal_generator_counts(n):
         assert counts == naive_support_counts(n, script)
         assert all(counts[m] == comb(m.bit_count() - 1, k - 1) for m in range(1, 1 << n)
                    if m.bit_count() >= k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_even_stop_row_is_membership_in_the_stops(n):
+    # the row check's bit operations against membership of (S - G, removed
+    # bit) in G's list of even stops, for every G, every S above it and
+    # every removed element, None and n + 1 included
+    full = (1 << n) - 1
+    for k in decomposition.upper_half(n):
+        table = k_subset_table(n, k)
+        for g, (added, *_) in table.items():
+            stops = set(even_stops(added))
+            for extra in submasks(full & ~g):
+                for removed in [None, *range(1, n + 2)]:
+                    a = 0 if removed is None else 1 << (removed - 1)
+                    assert even_stop_row(table, g | extra, removed, g) == ((extra, a) in stops)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_k_polynomial_of_the_module(n):
+    # M(n,k)'s squarefree K-polynomial, by inclusion-exclusion over the
+    # dimension oracle: 0 below size k, (-1)^(|T|-k) from k on; the Moebius
+    # sums per size give it, and on the upper half the script's rows push it
+    for k in range(1, n + 1):
+        want = naive_k_polynomial(n, k)
+        sizes = [t.bit_count() for t in range(1 << n)]
+        assert want == [0 if s < k else (-1) ** (s - k) for s in sizes]
+        dims = decomposition._dims_by_size(n, k)
+        assert [k_polynomial_by_size(dims)[s] for s in sizes] == want
+        if k in decomposition.upper_half(n):
+            assert k_polynomial(n, decomposition._script(n, k)) == want
+
+
+def _perturbed(data, n, k):
+    """The script of (n, k) with one fault drawn: a row dropped, repeated or
+    added, or a row's removed element moved."""
+    rows = list(decomposition._script(n, k))
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    s, removed, g = rows[i]
+    kind = data.draw(st.sampled_from(["drop", "repeat", "extra", "move"]), label="kind")
+    if kind == "drop":
+        del rows[i]
+    elif kind == "repeat":
+        rows.insert(i, rows[i])
+    elif kind == "extra":
+        full = (1 << n) - 1
+        s = g | data.draw(st.integers(0, full), label="S") & full
+        outside = [None] + [e for e in range(1, n + 1) if not s >> (e - 1) & 1]
+        rows.append((s, data.draw(st.sampled_from(outside), label="removed"), g))
+    else:
+        others = [None] + [e for e in range(1, n + 1) if e != removed]
+        rows[i] = (s, data.draw(st.sampled_from(others), label="removed"), g)
+    return tuple(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_k_polynomial_decision_names_what_the_transform_names(data):
+    # on a faulty script, the report decided on K-polynomials equals the
+    # one that always runs the transform, and its Hilbert lines and family
+    # size mismatches are those of the summands counted at each support; a
+    # removed element moved into S makes a row that meets no support
+    n = data.draw(st.integers(2, 9), label="n")
+    k = data.draw(st.sampled_from(list(decomposition.upper_half(n))), label="k")
+    rows = _perturbed(data, n, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decomposition, "_script", lambda n_, k_: rows)
+        got = verify_stanley(n, k, check_rank=False)
+        mp.setattr(
+            decomposition, "_counts_off_target",
+            lambda n_, summands, targets: contribution_counts(n_, summands),
+        )
+        want = verify_stanley(n, k, check_rank=False)
+    for field in ("passed", "counts", "failures", "lines"):
+        assert getattr(got, field) == getattr(want, field), field
+    counts = naive_support_counts(n, rows)
+    lines = [
+        f"support {Subset.from_mask(n, m)}: {counts[m]} summands vs dimension "
+        f"{comb(m.bit_count() - 1, k - 1)}"
+        for m in range(1, 1 << n) if counts[m] != comb(m.bit_count() - 1, k - 1)
+    ]
+    assert got.counts["hilbert_failures"] == got.counts["family_size_mismatches"] == len(lines)
+    assert got.failures[:len(lines)] == lines
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -724,8 +810,8 @@ def test_index_step_sweep_reads_the_table_probes(monkeypatch):
     }
     assert index_step_sweep(n).counts == tallies
     table = dict(k_subset_table(n, 4))
-    g, (added, facet, probe) = next((g, entry) for g, entry in table.items() if entry[2])
-    table[g] = (added, facet, probe & (probe - 1))
+    g, (added, facet, probe, odd) = next((g, entry) for g, entry in table.items() if entry[2])
+    table[g] = (added, facet, probe & (probe - 1), odd)
     monkeypatch.setattr(
         decomposition, "k_subset_table",
         lambda n_, k_: table if (n_, k_) == (n, 4) else k_subset_table(n_, k_),

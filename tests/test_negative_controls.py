@@ -16,15 +16,19 @@ script's rows lists what the per-support enumeration lists.  A script row
 that removes the wrong variable, or a missing row, fails the Hilbert
 identity, the family sizes and the rank check; a row that names another
 generator fails the row check against its chain alone, as does the row that
-removes the wrong variable; a script in another order is no fault.
+removes the wrong variable; a script in another order is no fault.  Each
+chain or pivot fault builds its table from the per-k-subset reference in
+``tests/helpers.py`` and replaces every binding of ``k_subset_table``.
 """
 
+from functools import lru_cache
 from itertools import product
 from math import comb
 
 import pytest
 
-from koszuldepth import bits, checks, decomposition
+import koszuldepth
+from koszuldepth import bits, checks, decomposition, maskchecks
 from koszuldepth.decomposition import (
     build_decomposition,
     contribution_family,
@@ -39,6 +43,8 @@ from koszuldepth.maskchecks import (
 from koszuldepth.subsets import Subset
 
 from helpers import (
+    chain_insertions,
+    k_subset_table_per_subset,
     naive_contributes,
     naive_facet,
     naive_least_witnesses,
@@ -172,11 +178,13 @@ def _below_guard_failures(n, k, rows, rank):
 @pytest.mark.parametrize("n, k, failing", [(4, 1, 6), (6, 2, 20), (8, 3, 70), (10, 4, 252)])
 def test_transform_counts_below_the_guard(unguarded, n, k, failing):
     # the subset-sum transform counts what a push of every summand counts,
-    # also where the counts miss the dimension
+    # also where the counts miss the dimension, which the K-polynomials show
     script = decomposition._script(n, k)
     counts = contribution_counts(n, script)
     assert counts == naive_support_counts(n, script)
-    hilbert = decomposition._squarefree_hilbert(n, k, counts)
+    dims = decomposition._dims_by_size(n, k)
+    assert decomposition._counts_off_target(n, script, [dims]) == counts
+    hilbert = decomposition._squarefree_hilbert(n, k, dims, counts)
     assert len(hilbert.failures) == failing
 
 
@@ -256,10 +264,9 @@ def test_undefined_construction_is_a_structured_failure(unguarded, n, k, mask):
     assert _families_equal_members(n, k)
 
 
-def _last_pivot_scan(n, mask):
-    """``bits.scan`` with the producer fault: the pivot is the last member
-    where the height over the members alone peaks, not the first."""
-    nu, mu, _ = _real_scan(n, mask)
+def _last_pivot(n, mask):
+    """The pivot with the producer fault: the last member where the height
+    over the members alone peaks, not the first."""
     height, top, pivot = 0, -n - 1, 0
     for pos in range(1, n + 1):
         if (mask >> (pos - 1)) & 1:
@@ -268,26 +275,30 @@ def _last_pivot_scan(n, mask):
                 top, pivot = height, pos
         else:
             height -= 1
-    return nu, mu, pivot
+    return pivot
 
 
-_real_scan = bits.scan
-_CACHES = (bits.match_tables, bits.k_subset_table)
+# every module of the package that binds the chain table
+_TABLE_BINDINGS = (bits, maskchecks, decomposition)
 
 
-def _faulted(monkeypatch, name, fault):
-    monkeypatch.setattr(bits, name, fault)
-    for cache in _CACHES:
-        cache.cache_clear()
-    yield fault
-    # no faulted table may outlive the patch
-    for cache in _CACHES:
-        cache.cache_clear()
+def _faulted(monkeypatch, **fault):
+    """Patch every binding of ``k_subset_table`` with the per-subset
+    reference built from the faulty chain or pivot; the patch, and the
+    faulted tables with it, end with the test."""
+    bound = {
+        name for name, module in vars(koszuldepth).items()
+        if hasattr(module, "k_subset_table") and hasattr(module, "__file__")
+    }
+    assert bound == {module.__name__.rpartition(".")[2] for module in _TABLE_BINDINGS}
+    table = lru_cache(maxsize=None)(lambda n, k: k_subset_table_per_subset(n, k, **fault))
+    for module in _TABLE_BINDINGS:
+        monkeypatch.setattr(module, "k_subset_table", table)
 
 
 @pytest.fixture
 def last_pivot(monkeypatch):
-    yield from _faulted(monkeypatch, "scan", _last_pivot_scan)
+    _faulted(monkeypatch, pivot_of=_last_pivot)
 
 
 def _last_facet(n, elements):
@@ -318,21 +329,18 @@ def test_no_matching_suite_sees_the_last_pivot(last_pivot):
         assert check(8).passed
 
 
-_real_chain_insertions = bits.chain_insertions
-
-
 def _moved_first_insertion(n, g):
-    """``bits.chain_insertions`` with a chain fault: the first insertion
-    moves to the next position above it that is neither in g nor inserted,
-    if there is one."""
-    added = _real_chain_insertions(n, g)
+    """``chain_insertions`` with a chain fault: the first insertion moves to
+    the next position above it that is neither in g nor inserted, if there
+    is one."""
+    added = chain_insertions(n, g)
     first = added & -added
     free = ~(g | added) & ((1 << n) - 1) & ~((first << 1) - 1)
     return added ^ first | free & -free if first and free else added
 
 
 def _strict_chain_insertions(n, g):
-    """``bits.chain_insertions`` with ``>=`` made strict: a non-member is
+    """``chain_insertions`` with ``>=`` made strict: a non-member is
     inserted only above every later height, so ties are dropped."""
     height, best, added = 2 * g.bit_count() - n, -n - 1, 0
     for pos in range(n - 1, -1, -1):
@@ -378,7 +386,8 @@ def _rank_deficient_supports(n, k):
 
 @pytest.fixture(params=list(_CHAIN_FAULT_FAILURES), ids=lambda fault: fault.__name__.strip("_"))
 def chain_fault(monkeypatch, request):
-    yield from _faulted(monkeypatch, "chain_insertions", request.param)
+    _faulted(monkeypatch, insertions=request.param)
+    return request.param
 
 
 @pytest.mark.parametrize("n, k", [(6, 3), (8, 4), (9, 4), (10, 5)])
@@ -400,7 +409,7 @@ def test_chain_fault_fails_verify(chain_fault, n, k):
 
 @pytest.fixture
 def moved_first_insertion(monkeypatch):
-    yield from _faulted(monkeypatch, "chain_insertions", _moved_first_insertion)
+    _faulted(monkeypatch, insertions=_moved_first_insertion)
 
 
 @pytest.mark.parametrize("n", range(4, 10))
@@ -414,14 +423,14 @@ def test_index_step_sweep_reads_both_chains_under_a_chain_fault(moved_first_inse
 
 
 def _insertion_inside_g(n, g):
-    """``bits.chain_insertions`` with a chain fault: g's least element is
-    listed among the insertions, so a stop's next insertion can lie in g."""
-    return _real_chain_insertions(n, g) | g & -g
+    """``chain_insertions`` with a chain fault: g's least element is listed
+    among the insertions, so a stop's next insertion can lie in g."""
+    return chain_insertions(n, g) | g & -g
 
 
 @pytest.fixture
 def insertion_inside_g(monkeypatch):
-    yield from _faulted(monkeypatch, "chain_insertions", _insertion_inside_g)
+    _faulted(monkeypatch, insertions=_insertion_inside_g)
 
 
 @pytest.mark.parametrize("n, k", [(6, 3), (8, 4)])
@@ -537,6 +546,19 @@ def test_other_generator_fails_the_row_check_alone(monkeypatch):
     assert verify_stanley(6, 3, check_rank=True).failures == [
         "summand S={1,2,3,4,5} removed=6 G={1,2,4}: not an even stop of G's chain"
     ]
+
+
+def test_a_pass_runs_no_transform(monkeypatch):
+    # a PASS is decided on K-polynomials alone; only a mismatch counts the
+    # summands per support, by the subset-sum transform, to name supports
+    calls = []
+    real = maskchecks.subset_sums
+    monkeypatch.setattr(maskchecks, "subset_sums", lambda *args: calls.append(args[1]) or real(*args))
+    assert verify_stanley(10, 5).passed
+    assert calls == []
+    monkeypatch.setattr(decomposition, "_script", _dropped_summand)
+    assert not verify_stanley(10, 5).passed
+    assert calls and set(calls) == {10}
 
 
 def test_script_order_is_not_a_fault(monkeypatch):
