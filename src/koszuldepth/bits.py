@@ -6,10 +6,10 @@ order is plain integer order on masks.  ``scan`` finds the peaks of one
 lattice path, for the subset-level maps in :mod:`koszuldepth.matching`;
 ``match_tables`` finds those of every mask at once, by extending every
 prefix by one position (for the matching-law sweeps of ``check-matching``).
-``k_subset_table`` reads every k-subset's upward chain and distinguished
-facet off its path by the chain lemma, in one pass that extends every
-suffix by one position, so everything ``verify`` runs on needs no table
-over the 2^n masks.  The tables are cached for the last ``n`` (and ``k``)
+``k_subset_table`` reads every k-subset's upward chain and facet pivot off
+its path by the chain lemma, in one pass that extends every suffix by one
+position, so everything ``verify`` runs on needs no table over the 2^n
+masks.  The tables are cached for the last ``n`` (and ``k``)
 only: ``verify --all-n`` hands its tasks out in increasing (n, k) order, so
 no process comes back to an earlier size, and a larger cache only holds
 memory.
@@ -119,9 +119,9 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
 
 
 @lru_cache(maxsize=1)
-def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int, int]]:
+def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
     """Per k-subset g over {1..n}, k >= 1, in ascending mask order:
-    ``(added, facet, probe, odd)``.
+    ``(added, pivot, odd)``.
 
     ``added`` holds the elements a_1 < a_2 < ... that g's upward chain
     inserts, in that order, so it fixes every chain mask: the non-members
@@ -129,9 +129,8 @@ def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int, int]]:
     (README, "The chain lemma").  ``odd`` holds a_1, a_3, ..., the next
     insertion after each chain prefix of even length, and bit n, above
     every element, when ``added`` has even size: past the chain's end.
-    ``facet`` is the distinguished facet psi_tilde(g), g without its pivot,
-    the first member where the height over the members alone peaks;
-    ``probe`` holds the elements outside g below the pivot.
+    ``pivot`` is the bit of the first member where the height over the
+    members alone peaks: ``g ^ pivot`` is the distinguished facet psi_tilde(g).
 
     One pass from position n down to 1 extends every suffix by one
     position, in lists per member count (README, "The chain table in one
@@ -172,7 +171,7 @@ def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int, int]]:
     masks, _, _, pivot, added, odd = by_count[k]
     # the lists are ordered by the lowest position first, the table by mask
     return {
-        masks[i]: (added[i] ^ end, masks[i] ^ pivot[i], (pivot[i] - 1) & ~masks[i], odd[i])
+        masks[i]: (added[i] ^ end, pivot[i], odd[i])
         for i in sorted(range(len(masks)), key=masks.__getitem__)
     }
 

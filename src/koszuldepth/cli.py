@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the boxed dimension check with entries up to D "
                     "(recommended maxima: n = 9 at D = 2, n = 12 at D = 1)")
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
-                    help=f"exact rank checking (auto: on for n <= {decomposition.RANK_AUTO_MAX_N})")
+                    help=f"GF(2) rank checking (auto: on for n <= {decomposition.RANK_AUTO_MAX_N})")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
                     help="processes for sweeps, this one included, at most one per (n, k) task")
     _add_format(sp)

@@ -129,7 +129,7 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     """
     end = 1 << n
     rows = []
-    for g, (added, _, _, odd) in k_subset_table(n, k).items():
+    for g, (added, _, odd) in k_subset_table(n, k).items():
         # per even j, the bit of a_{j+1}, or past the chain's end bit n
         while odd:
             a = odd & -odd
@@ -178,7 +178,7 @@ def triangle_check(family: ContributionFamily) -> TriangleReport:
     table = k_subset_table(M.n, k)
     position: dict[int, int] = {}
     for i, member in enumerate(family.members):
-        t = table[member.G.mask][1]
+        t = member.G.mask ^ table[member.G.mask][1]
         rest = M.mask & ~t
         hits = []
         while rest:
@@ -342,16 +342,16 @@ def _close_hilbert(rep: Report, mode: str, checked: int) -> Report:
 def _admissible(table, n: int, m: int, g: int, h: int) -> bool:
     """Mask form of the admissibility of (M, G, H); see :func:`index_step_check`.
 
-    On equal sizes, squashed order is integer order on masks.  The facet of
-    g is read from ``table``, the k-subset table of g's size, only once g is
-    known to be non-empty.
+    On equal sizes, squashed order is integer order on masks.  g's facet is
+    g without the pivot that ``table``, the k-subset table of g's size,
+    names, read only once g is known to be non-empty.
     """
     return (
         not (g | h) & ~m
         and g.bit_count() == h.bit_count() >= n // 2
         and g != 0
         and h < g
-        and not table[g][1] & ~h
+        and not (g ^ table[g][1]) & ~h
     )
 
 
@@ -361,12 +361,11 @@ def _index_step(table, m: int, g: int, h: int) -> tuple[int, int, int, int]:
 
     The pivot p of ``psi_tilde`` is the first member where the height over
     the members alone peaks, so the restricted peak height is the height of
-    the lattice path at p: p minus twice the non-members below p, which are
-    exactly g's probe.
+    the lattice path at p: p minus twice the non-members below p.
     """
-    added, t, probe, _ = table[g]
+    added, pivot, _ = table[g]
     ind_g = chain_index(added, m)
-    if (g ^ t).bit_length() >= 2 * probe.bit_count():
+    if pivot.bit_length() >= 2 * ((pivot - 1) & ~g).bit_count():
         case, expected = 1, ind_g + 1
     else:
         case, expected = 2, 1
@@ -400,11 +399,11 @@ def index_step_sweep(n: int) -> Report:
     """Exhaustively check the index increment over all admissible triples.
 
     For fixed G the admissible partners H are the distinguished facet of G
-    plus one element x of G's probe, on every support M containing G | x.
-    Both indices read M only on the chains' bits outside G | x, so each
-    pattern of M there is decided once, for every M showing it (README,
-    "Grouping supports by the chains' bits"), and only a failing one is
-    expanded.  Failures are reported in the order (M, |G|, G, x).
+    plus one element x outside G below its pivot, on every support M
+    containing G | x.  Both indices read M only on the chains' bits outside
+    G | x, so each pattern of M there is decided once, for every M showing
+    it (README, "Grouping supports by the chains' bits"), and only a failing
+    one is expanded.  Failures are reported in the order (M, |G|, G, x).
     """
     rep = Report(f"index increment n={n}")
     full = (1 << n) - 1
@@ -416,12 +415,12 @@ def index_step_sweep(n: int) -> Report:
         # fetched once: the table cache holds only the last (n, k)
         table = k_subset_table(n, size)
         before = len(failing)
-        for g_mask, (added_g, t_mask, probe, _) in table.items():
-            rest = probe
+        for g_mask, (added_g, pivot, _) in table.items():
+            rest = (pivot - 1) & ~g_mask
             while rest:
                 low = rest & -rest
                 rest ^= low
-                h_mask, base = t_mask | low, g_mask | low
+                h_mask, base = g_mask ^ pivot | low, g_mask | low
                 # admissible at G | x, hence at every support containing it
                 if not _admissible(table, n, base, g_mask, h_mask):
                     raise RuntimeError(f"inadmissible partner {h_mask:#x} of {g_mask:#x}")
@@ -443,7 +442,7 @@ def index_step_sweep(n: int) -> Report:
     for key in failing:
         low, g_mask, m_mask = key & full, key >> n & full, key >> 2 * n + width
         table = kept[g_mask.bit_count()]
-        h_mask = table[g_mask][1] | low
+        h_mask = g_mask ^ table[g_mask][1] | low
         for mask in (m_mask, g_mask, h_mask):
             if mask not in text:
                 text[mask] = str(Subset.from_mask(n, mask))
@@ -511,11 +510,11 @@ def verify_stanley(
     size_mismatches = 0 if counts is None else sum(map(ne, counts, _by_support(n, family_sizes)))
     rep.passed &= not size_mismatches
     table = k_subset_table(n, k)
-    strays = slim = 0
+    row_failures = slim = 0
     for s, removed, g in script:
         slim += removed is not None
         if not even_stop_row(table, s, removed, g):
-            strays += 1
+            row_failures += 1
             S, G = Subset.from_mask(n, s), Subset.from_mask(n, g)
             rep.fail(f"summand S={S} removed={removed or '-'} G={G}: not an even stop of G's chain")
     triangle_violations = 0
@@ -542,16 +541,15 @@ def verify_stanley(
                 rank_failures += 1
                 rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
 
-    rep.counts["summands"] = len(script)
-    rep.counts["supports"] = supports
-    rep.counts["triangle_violations"] = triangle_violations
-    rep.counts["family_size_mismatches"] = size_mismatches
-    rep.counts["rank_checked"] = rank_checked
-    rep.counts["rank_failures"] = rank_failures
+    rep.counts.update(
+        summands=len(script), supports=supports, row_failures=row_failures,
+        triangle_violations=triangle_violations, family_size_mismatches=size_mismatches,
+        rank_checked=rank_checked, rank_failures=rank_failures,
+    )
 
     rep.lines.append(
         f"families: {supports} supports, sizes {'ok' if not size_mismatches else 'MISMATCHED'}, "
-        f"two-form agreement {'held' if not strays else 'FAILED'}"
+        f"two-form agreement {'held' if not row_failures else 'FAILED'}"
     )
     rep.lines.append(f"triangle condition (squashed order): {triangle_violations} violations")
     if check_rank:

@@ -45,17 +45,19 @@ def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
     both have even index and h, an earlier k-subset, contains g's
     distinguished facet; one triple per such pair (g, h).
 
-    h is the facet plus an element x of g's probe.  With chains a of g and
-    b of h, the least witness of indices i and j is ``R = g | x | a_1..a_i |
-    b_1..b_j``, which must lack a_{i+1} and b_{j+1} (README, "Checking
-    without visiting supports").  Per even i: a_{i+1} is not x, and some
-    even j < len(b) has b_{j+1} outside ``g | x | a_1..a_i`` and no earlier
-    b equal to a_{i+1}, or j = len(b) is even and b lacks a_{i+1}.  r is R
-    for the first such i and the lowest such j.  The table's ``odd`` field
-    gives the bits of a_{i+1} and b_{j+1}.
+    h is g without its pivot plus an element x outside g below the pivot,
+    whichever member that is.  With chains a of g and b of h, the least
+    witness of indices i and j is ``R = g | x | a_1..a_i | b_1..b_j``, which
+    must lack a_{i+1} and b_{j+1} (README, "Checking without visiting
+    supports").  Per even i: a_{i+1} is not x, and some even j < len(b) has
+    b_{j+1} outside ``g | x | a_1..a_i`` and no earlier b equal to a_{i+1},
+    or j = len(b) is even and b lacks a_{i+1}.  r is R for the first such i
+    and the lowest such j; ``odd`` gives the bits of a_{i+1} and b_{j+1}.
     """
     table = k_subset_table(n, k)
-    for g, (added, t, probe, odd) in table.items():
+    for g, (added, pivot, odd) in table.items():
+        if pivot & (pivot - 1) or not pivot & g:
+            raise ValueError(f"pivot {pivot:#x} of {g:#x} is not one of its members")
         # per even i, g | a_1..a_i and the bit of a_{i+1}; past the chain's
         # end, a bit above every element, which no chain inserts
         stops = []
@@ -63,11 +65,12 @@ def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
             a = odd & -odd
             odd ^= a
             stops.append((g | added & (a - 1), a))
-        while probe:
-            x = probe & -probe
-            probe ^= x
-            h = t | x
-            b_added, _, _, b_odd = table[h]
+        partners = (pivot - 1) & ~g
+        while partners:
+            x = partners & -partners
+            partners ^= x
+            h = g ^ pivot | x
+            b_added, _, b_odd = table[h]
             for base, a in stops:
                 if a == x:
                     continue
@@ -164,15 +167,15 @@ def even_stop_row(table, s: int, removed: int | None, g: int) -> bool:
     """Whether the script row ``(S, removed, G)`` is an even stop of G's
     chain (``table`` as :func:`k_subset_table` gives it): G is a k-subset,
     S is G plus the chain's first j insertions for an even j, and the
-    removed element is the next insertion, None past the chain's end."""
+    removed element, outside S, is the next insertion, None past the end."""
     entry = table.get(g)
     if entry is None or s & g != g:
         return False
-    added, _, _, odd = entry
+    added, _, odd = entry
     # the next insertion's bit; past the chain's end, the bit above every
     # element that odd holds when the chain is even
     a = odd & ~added if removed is None else 1 << (removed - 1) & added
-    return bool(a & odd) and s ^ g == added & (a - 1)
+    return bool(a & odd) and not a & s and s ^ g == added & (a - 1)
 
 
 def facet_row_table(n: int, k: int) -> dict[int, int]:

@@ -193,7 +193,7 @@ def even_stops(added: int) -> list[tuple[int, int]]:
 
 
 def k_subset_entry(n: int, g: int, insertions=chain_insertions, pivot_of=scan_pivot):
-    """The chain table's entry ``(added, facet, probe, odd)`` of g, from one
+    """The chain table's entry ``(added, pivot, odd)`` of g, from one
     ``insertions`` and one ``pivot_of`` call, with ``odd`` read off
     :func:`even_stops` (bit n for the stop past the chain's end)."""
     added = insertions(n, g)
@@ -201,7 +201,7 @@ def k_subset_entry(n: int, g: int, insertions=chain_insertions, pivot_of=scan_pi
     odd = 0
     for _, a in even_stops(added):
         odd |= a or 1 << n
-    return added, g ^ pivot, (pivot - 1) & ~g, odd
+    return added, pivot, odd
 
 
 def k_subset_table_per_subset(n: int, k: int, insertions=chain_insertions, pivot_of=scan_pivot):
@@ -384,9 +384,9 @@ def admissible_triples(n: int):
 
 def support_major_index_sweep(n: int):
     """The reference for ``decomposition.index_step_sweep``: the loop over
-    every support M, size, G inside M and x in M and G's probe, deciding
-    each triple on its own.  It reads the k-subset tables through the
-    ``decomposition`` module, so a table patched there reaches it too."""
+    every support M, size, G inside M and x in M outside G below G's pivot,
+    deciding each triple on its own.  It reads the k-subset tables through
+    the ``decomposition`` module, so a table patched there reaches it too."""
     rep = Report(f"index increment n={n}")
     # fetched once: the table cache holds only the last (n, k)
     by_size = {
@@ -398,12 +398,12 @@ def support_major_index_sweep(n: int):
         for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
             table = by_size[size]
             for g_mask in sized_submasks(m_mask, size):
-                _, t_mask, probe, _ = table[g_mask]
-                rest = m_mask & probe
+                pivot = table[g_mask][1]
+                rest = m_mask & (pivot - 1) & ~g_mask
                 while rest:
                     low = rest & -rest
                     rest ^= low
-                    h_mask = t_mask | low
+                    h_mask = g_mask ^ pivot | low
                     assert decomposition._admissible(table, n, m_mask, g_mask, h_mask)
                     case, ind_g, ind_h, expected = decomposition._index_step(
                         table, m_mask, g_mask, h_mask

@@ -156,33 +156,94 @@ def test_k_subset_table_sampled_at_large_n(n):
             assert table[g] == k_subset_entry(n, g), (k, g)
 
 
+@pytest.mark.parametrize("n", range(15, 21))
+def test_chain_lemma_sampled_past_n_14(n):
+    # past the exhaustive walk above, a seeded sample of one upper-half
+    # table: each chain against phi walked by scan to its end, and each
+    # facet, g without the pivot, against the definition
+    rng = random.Random(n)
+    table = k_subset_table(n, rng.randrange(n // 2, n))
+    for g in rng.sample(list(table), min(len(table), 200)):
+        added, pivot, _ = table[g]
+        top = g
+        while (mu := scan(n, top)[1]) != n:
+            top |= 1 << mu
+        assert added == top ^ g, g
+        assert g ^ pivot == _mask(naive_facet(n, _elements(g))), g
+
+
 def _stop_field_readers(tree):
     """Per function of a module, whether it reads the stop field of a chain
-    table entry (unpacks an entry, not a call's result, into four names and
-    binds the fourth, or indexes it at 3) and whether it calls
-    ``k_subset_table``."""
+    table entry (unpacks an entry into three names and binds the third, or
+    indexes it at 2) and whether it calls ``k_subset_table``.
+
+    A table is a ``k_subset_table`` call, a parameter named ``table`` or a
+    name bound to one; an entry is a table subscripted, its ``get``, a value
+    of its ``items()`` or a name bound to one of those.
+    """
+    def called(node, name):
+        return isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)
+        )
+
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
-        results = {
-            id(target)
+        tables = {arg.arg for arg in fn.args.args if arg.arg == "table"}
+        entries, unpacked = set(), []
+
+        def is_table(node):
+            return isinstance(node, ast.Name) and node.id in tables or called(node, "k_subset_table")
+
+        def is_entry(node):
+            if isinstance(node, ast.Name):
+                return node.id in entries
+            if isinstance(node, ast.Subscript):
+                return is_table(node.value)
+            return called(node, "get") and is_table(node.func.value)
+
+        def bind(target, entry):
+            if isinstance(target, ast.Name):
+                (entries if entry else tables).add(target.id)
+            elif entry and isinstance(target, ast.Tuple):
+                unpacked.append(target)
+
+        # bindings in any order: repeat until no new name is bound
+        for _ in range(3):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    if is_table(node.value) or is_entry(node.value):
+                        bind(node.targets[0], is_entry(node.value))
+                elif isinstance(node, (ast.For, ast.comprehension)):
+                    items = called(node.iter, "items") and is_table(node.iter.func.value)
+                    if items and isinstance(node.target, ast.Tuple) and len(node.target.elts) == 2:
+                        bind(node.target.elts[1], True)
+        reads = any(
+            len(t.elts) == 3 and isinstance(t.elts[2], ast.Name) and t.elts[2].id != "_"
+            for t in unpacked
+        ) or any(
+            isinstance(node, ast.Subscript) and is_entry(node.value)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == 2
             for node in ast.walk(fn)
-            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-            for target in node.targets
-        }
-        reads = calls = False
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Tuple) and isinstance(node.ctx, ast.Store):
-                if id(node) in results:
-                    continue
-                last = node.elts[-1] if len(node.elts) == 4 else None
-                reads |= isinstance(last, ast.Name) and last.id != "_"
-            elif isinstance(node, ast.Subscript):
-                reads |= isinstance(node.slice, ast.Constant) and node.slice.value == 3
-            elif isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                calls |= name == "k_subset_table"
+        )
+        calls = any(called(node, "k_subset_table") for node in ast.walk(fn))
         yield fn.name, reads, calls
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("def f(table, g):\n    return table[g][2]", True),
+    ("def f(table, g):\n    return table[g][1]", False),
+    ("def f(n, k):\n    for g, (a, p, odd) in k_subset_table(n, k).items():\n        pass", True),
+    ("def f(n, k):\n    for g, (a, p, _) in k_subset_table(n, k).items():\n        pass", False),
+    ("def f(n, k, g):\n    t = k_subset_table(n, k)\n    e = t.get(g)\n    a, p, odd = e", True),
+    ("def f(n, k, g):\n    t = k_subset_table(n, k)\n    return [e[2] for _, e in t.items()]", True),
+    ("def f(script):\n    for s, removed, g in script:\n        pass", False),
+    ("def f(rows):\n    s, r, g = rows[0]", False),
+])
+def test_stop_field_readers_sees_each_form(source, reads):
+    # the guard below finds a read of the stops in every form the package
+    # writes one, and takes no other three-name unpack for one
+    assert [r for _, r, _ in _stop_field_readers(ast.parse(source))] == [reads]
 
 
 def test_one_family_producer():
@@ -227,11 +288,9 @@ def test_chain_index_equals_naive_index(n):
     for k in range(max(n // 2, 1), n):
         table = k_subset_table(n, k)
         assert len(table) == comb(n, k)
-        for g, (added, facet, probe, _) in table.items():
+        for g, (added, pivot, _) in table.items():
             G = _elements(g)
-            assert facet == _mask(naive_facet(n, G))
-            pivot = (g ^ facet).bit_length()
-            assert probe == ((1 << (pivot - 1)) - 1) & ~g
+            assert g ^ pivot == _mask(naive_facet(n, G))
             for extra in submasks(full & ~g):
                 M = _elements(g | extra)
                 assert chain_index(added, g | extra) == naive_index_up(n, G, M), (G, M)

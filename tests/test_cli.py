@@ -41,6 +41,7 @@ VERIFY_8_4_JSON = {
             "hilbert_failures": 0,
             "summands": 99,
             "supports": 163,
+            "row_failures": 0,
             "triangle_violations": 0,
             "family_size_mismatches": 0,
             "rank_checked": 163,
@@ -89,6 +90,7 @@ VERIFY_10_5_JSON = {
             "hilbert_failures": 0,
             "summands": 382,
             "supports": 638,
+            "row_failures": 0,
             "triangle_violations": 0,
             "family_size_mismatches": 0,
             "rank_checked": 638,

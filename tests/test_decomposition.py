@@ -797,9 +797,10 @@ def test_index_step_sweep_guards_admissibility(monkeypatch):
         index_step_sweep(5)
 
 
-def test_index_step_sweep_reads_the_table_probes(monkeypatch):
-    # negative control: the sweep takes every partner H from the k-subset
-    # table, so one element dropped from one probe must change its counts
+def test_index_step_sweep_reads_the_table_pivots(monkeypatch):
+    # negative control: the sweep derives every partner H from the pivots of
+    # the k-subset table, so one pivot moved down to a member with fewer
+    # non-members below it must change its counts
     n = 7
     triples = list(admissible_triples(n))
     tallies = {
@@ -810,8 +811,11 @@ def test_index_step_sweep_reads_the_table_probes(monkeypatch):
     }
     assert index_step_sweep(n).counts == tallies
     table = dict(k_subset_table(n, 4))
-    g, (added, facet, probe, odd) = next((g, entry) for g, entry in table.items() if entry[2])
-    table[g] = (added, facet, probe & (probe - 1), odd)
+    g, (added, pivot, odd) = next(
+        (g, entry) for g, entry in table.items()
+        if ((entry[1] - 1) & ~g).bit_count() > (((g & -g) - 1) & ~g).bit_count()
+    )
+    table[g] = (added, g & -g, odd)
     monkeypatch.setattr(
         decomposition, "k_subset_table",
         lambda n_, k_: table if (n_, k_) == (n, 4) else k_subset_table(n_, k_),

@@ -10,8 +10,10 @@ violating pair with its least witness support.  Further below, psi iteration
 runs out before size k, but the chains still give a script, and the Hilbert
 identity fails on it.  On the upper half, a distinguished facet that deletes
 the last peak over the members instead of the first breaks the triangle
-condition and nothing else, and a chain with a moved or a missing insertion
-fails ``verify`` too.  Under every chain fault, the rank check's push of the
+condition and nothing else, as does a pivot drawn at random among its
+members, on exactly the pairs an enumeration of every support finds; a
+pivot outside G stops ``verify``, and a chain with a moved or a missing
+insertion fails it too.  Under every chain fault, the rank check's push of the
 script's rows lists what the per-support enumeration lists.  A script row
 that removes the wrong variable, or a missing row, fails the Hilbert
 identity, the family sizes and the rank check; a row that names another
@@ -21,6 +23,7 @@ chain or pivot fault builds its table from the per-k-subset reference in
 ``tests/helpers.py`` and replaces every binding of ``k_subset_table``.
 """
 
+import random
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -97,8 +100,8 @@ def test_every_layer_fails_just_below_the_guard(
             "passed": False,
             "counts": {
                 "hilbert_supports": 15, "hilbert_failures": 6, "summands": 8, "supports": 15,
-                "triangle_violations": 4, "family_size_mismatches": 6, "rank_checked": 15,
-                "rank_failures": 6, "min_Z": 3,
+                "row_failures": 0, "triangle_violations": 4, "family_size_mismatches": 6,
+                "rank_checked": 15, "rank_failures": 6, "min_Z": 3,
             },
             "failures": expected,
         }
@@ -329,6 +332,50 @@ def test_no_matching_suite_sees_the_last_pivot(last_pivot):
         assert check(8).passed
 
 
+def _random_pivot(n, g):
+    """The pivot with a producer fault: a member of g drawn at random, by a
+    generator seeded with (n, g), so every call for g draws the same one."""
+    members = [e for e in range(1, n + 1) if g >> (e - 1) & 1]
+    return random.Random(n << 32 | g).choice(members)
+
+
+def _random_facet(n, elements):
+    return elements - {_random_pivot(n, sum(1 << (e - 1) for e in elements))}
+
+
+@pytest.fixture
+def random_pivot(monkeypatch):
+    _faulted(monkeypatch, pivot_of=_random_pivot)
+
+
+@pytest.mark.parametrize("n, k, pairs", [(6, 3, 15), (7, 4, 34), (8, 4, 76)])
+def test_any_member_pivot_is_checked(random_pivot, n, k, pairs):
+    # the pair test derives g's facet and every partner from the pivot, so
+    # with any member of g as the pivot it finds exactly the pairs that an
+    # enumeration of every support finds for that facet, and verify names
+    # each, on the triangle line alone
+    got = list(triangle_pairs(n, k))
+    assert {(g, h): r for g, h, r in got} == naive_least_witnesses(n, k, _random_facet)
+    assert len(got) == pairs
+    rep = verify_stanley(n, k, check_rank=False)
+    assert not rep.passed
+    assert rep.counts["triangle_violations"] == len(rep.failures) == pairs
+    assert rep.failures == _triangle_lines(n, k, _random_facet)
+
+
+def _outside_pivot(n, g):
+    """The pivot with a producer fault: g's least non-member."""
+    return (~g & (g + 1)).bit_length()
+
+
+def test_a_pivot_outside_g_stops_verify(monkeypatch):
+    # g ^ pivot is then no facet of g, and the pair test would take no or
+    # wrong partners, so it stops at the first entry instead of passing
+    _faulted(monkeypatch, pivot_of=_outside_pivot)
+    with pytest.raises(ValueError, match="is not one of its members"):
+        verify_stanley(6, 3, check_rank=False)
+
+
 def _moved_first_insertion(n, g):
     """``chain_insertions`` with a chain fault: the first insertion moves to
     the next position above it that is neither in g nor inserted, if there
@@ -440,6 +487,23 @@ def test_even_families_skip_a_stop_inside_g(insertion_inside_g, n, k):
     assert _families_equal_members(n, k)
 
 
+@pytest.mark.parametrize("n, k", [(6, 3), (8, 4)])
+def test_row_check_names_a_stop_inside_g(insertion_inside_g, n, k):
+    # g's least element e counts as an insertion: every row from the stop at
+    # e on fails the row check, the row that removes e from S included, as
+    # its S holds e or its removed element lies in S
+    script = decomposition._script(n, k)
+    off = [(s, r, g) for s, r, g in script if r is None or 1 << (r - 1) >= g & -g]
+    assert any(r is not None and 1 << (r - 1) == g & -g for _, r, g in off)
+    rep = verify_stanley(n, k, check_rank=False)
+    assert rep.counts["row_failures"] == len(off)
+    assert [line for line in rep.failures if "even stop" in line] == [
+        f"summand S={Subset.from_mask(n, s)} removed={r or '-'} G={Subset.from_mask(n, g)}: "
+        f"not an even stop of G's chain"
+        for s, r, g in off
+    ]
+
+
 _real_script = decomposition._script
 
 
@@ -509,6 +573,7 @@ def _fails_verify(fault, n, k, check_rank):
     strays = _stray_lines(n, k, fault(n, k))
     assert len(strays) == (fault is not _dropped_summand)
     assert rep.counts["hilbert_failures"] == rep.counts["family_size_mismatches"] == failing
+    assert rep.counts["row_failures"] == len(strays)
     assert rep.counts["triangle_violations"] == 0
     assert rep.counts["rank_failures"] == (failing if check_rank else 0)
     assert rep.counts["rank_checked"] == (rep.counts["supports"] if check_rank else 0)
@@ -519,7 +584,7 @@ def _fails_verify(fault, n, k, check_rank):
     # rank fails on the supports whose Hilbert line failed, in mask order
     supports = [line.split(":")[0] for line in rep.failures]
     assert supports[len(supports) - rank:] == supports[:rank]
-    agreement = "FAILED" if strays else "held"
+    agreement = "FAILED" if rep.counts["row_failures"] else "held"
     assert [line for line in rep.lines if line.startswith("families:")] == [
         f"families: {rep.counts['supports']} supports, sizes {'MISMATCHED' if failing else 'ok'}, "
         f"two-form agreement {agreement}"
@@ -543,9 +608,15 @@ def test_other_generator_fails_the_row_check_alone(monkeypatch):
     assert _real_script(6, 3)[20] == (0b11111, 6, 0b111)
     assert _other_generator(6, 3)[20] == (0b11111, 6, 0b1011)
     monkeypatch.setattr(decomposition, "_script", _other_generator)
-    assert verify_stanley(6, 3, check_rank=True).failures == [
+    rep = verify_stanley(6, 3, check_rank=True)
+    assert rep.failures == [
         "summand S={1,2,3,4,5} removed=6 G={1,2,4}: not an even stop of G's chain"
     ]
+    assert {key: v for key, v in rep.counts.items() if "fail" in key or "mismatch" in key} == {
+        "hilbert_failures": 0, "row_failures": 1, "family_size_mismatches": 0,
+        "rank_failures": 0,
+    }
+    assert rep.counts["triangle_violations"] == 0
 
 
 def test_a_pass_runs_no_transform(monkeypatch):
