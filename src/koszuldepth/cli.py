@@ -235,11 +235,10 @@ def cmd_verify(args) -> int:
             for n in range(2, args.all_n + 1)
             for k in decomposition.upper_half(n)
         ]
+    elif args.n is None or args.k is None:
+        raise ValueError("provide n and k, or --all-n N")
     else:
-        if args.n is None or args.k is None:
-            print("error: provide n and k, or --all-n N", file=sys.stderr)
-            return 2
-        decomposition.require_upper_half(args.n, args.k)
+        # verify_stanley checks the range first, in this process: one task forks nothing
         tasks = [(args.n, args.k, rank, args.box)]
 
     # this process works too, so --jobs W forks W - 1 children, and never more

@@ -178,17 +178,15 @@ def triangle_check(family: ContributionFamily) -> TriangleReport:
     table = k_subset_table(M.n, k)
     position: dict[int, int] = {}
     for i, member in enumerate(family.members):
-        t = member.G.mask ^ table[member.G.mask][1]
-        rest = M.mask & ~t
-        hits = []
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if t | low in position:
-                hits.append(position[t | low])
+        g = member.G.mask
+        pivot = table[g][1]
+        if pivot & (pivot - 1) or not pivot & g:
+            raise ValueError(f"pivot {pivot:#x} of {g:#x} is not one of its members")
+        t = g ^ pivot
+        hits = [position[t | low] for low in sized_submasks(M.mask & ~t, 1) if t | low in position]
         if hits:
             return TriangleReport(False, (member.G, family.members[min(hits)].G))
-        position.setdefault(member.G.mask, i)
+        position.setdefault(g, i)
     return TriangleReport(True)
 
 
@@ -201,9 +199,9 @@ def sign_matrix(family: ContributionFamily) -> list[list[int]]:
     for member in family.members:
         row = [0] * len(cols)
         for t_mask in sized_submasks(member.G.mask, family.k - 1):
-            entry = boundary_sign(member.G, Subset.from_mask(n, t_mask))
-            assert entry is not None
-            row[cols[t_mask]] = entry.sign
+            sign = boundary_sign(member.G, Subset.from_mask(n, t_mask))
+            assert sign is not None
+            row[cols[t_mask]] = sign
         rows.append(row)
     return rows
 
@@ -502,13 +500,18 @@ def verify_stanley(
     counts = _counts_off_target(n, script, {tuple(dims), tuple(family_sizes)})
     hilbert = _squarefree_hilbert(n, k, dims, counts)
     rep.lines.extend(hilbert.lines)
-    rep.failures.extend(hilbert.failures)
-    rep.passed &= hilbert.passed
+    rep.fail(*hilbert.failures)
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
     size_mismatches = 0 if counts is None else sum(map(ne, counts, _by_support(n, family_sizes)))
-    rep.passed &= not size_mismatches
+    if size_mismatches:
+        # supports that meet their dimension but not C(|M|-1, k-1) have no Hilbert line
+        unnamed = [m for m in range(1 << n)
+                   if family_sizes[m.bit_count()] != counts[m] == dims[m.bit_count()]]
+        if unnamed:
+            rep.fail(f"family sizes: {len(unnamed)} supports meet their dimension but not "
+                     f"C(|M|-1,k-1), first {Subset.from_mask(n, unnamed[0])}")
     table = k_subset_table(n, k)
     row_failures = slim = 0
     for s, removed, g in script:
@@ -558,18 +561,17 @@ def verify_stanley(
         rep.lines.append("exact rank: skipped at this size (rerun with rank checking forced)")
 
     z_sizes = [n - 1] * (slim > 0) + [n] * (slim < len(script))
-    min_z = min(z_sizes)
+    min_z = min(z_sizes, default=n)  # an empty script, with no slim summand, fails below
     rep.counts["min_Z"] = min_z
-    if min_z != n - 1 or slim == 0:
-        rep.fail(f"depth bookkeeping broken: |Z| sizes {z_sizes}, {slim} slim summands")
+    if not slim:
+        rep.fail(f"depth: no summand has |Z| = n-1 = {n - 1}, |Z| sizes {z_sizes}")
     rep.lines.append(
         f"depth: |Z| sizes {z_sizes}, minimum {min_z} = n-1 attained by {slim} summands"
     )
     if box_depth is not None:
         box = verify_box(n, k, box_depth)
-        rep.passed &= box.passed
         rep.lines.extend(box.lines)
-        rep.failures.extend(box.failures)
+        rep.fail(*box.failures)
         rep.counts.update({f"box_{key}": v for key, v in box.counts.items()})
     if rep.passed:
         rep.lines.append(

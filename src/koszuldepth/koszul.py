@@ -46,19 +46,11 @@ def _squarefree(n: int, mask: int) -> Multidegree:
     return Multidegree(n, ((mask >> i) & 1 for i in range(n)))
 
 
-class SignEntry(NamedTuple):
-    """The coefficient of basis subset T inside the boundary of basis subset G."""
+def boundary_sign(G: Subset, T: Subset) -> int | None:
+    """The coefficient of basis subset T in the boundary of basis subset G,
+    or None when T is not a facet of G.
 
-    G: Subset
-    T: Subset
-    sign: int
-    dropped: int
-
-
-def boundary_sign(G: Subset, T: Subset) -> SignEntry | None:
-    """Sign entry for T in the boundary of G, or None when T is not a facet of G.
-
-    The sign is (-1)^(j+1) where the dropped element is the j-th smallest of G.
+    It is (-1)^(j+1), where the dropped element is the j-th smallest of G.
     """
     same_ground(G, T)
     if len(T) != len(G) - 1:
@@ -66,9 +58,8 @@ def boundary_sign(G: Subset, T: Subset) -> SignEntry | None:
     g, t = G.mask, T.mask
     if t & ~g:
         return None
-    dropped = g ^ t
-    below = (g & (dropped - 1)).bit_count()
-    return SignEntry(G, T, -1 if below % 2 else 1, dropped.bit_length())
+    below = (g & ((g ^ t) - 1)).bit_count()
+    return -1 if below % 2 else 1
 
 
 class ChainTerm(NamedTuple):

@@ -9,20 +9,23 @@ MAX_SHOWN = 20
 class Report:
     """One check's verdict, its counts, failure messages and text lines.
 
-    The children that ``verify --jobs`` forks send their reports to the
-    main process pickled, through a pipe, so a report must pickle.
+    A report fails exactly when :meth:`fail` has named a failure.  The
+    children that ``verify --jobs`` forks send their reports to the main
+    process pickled, through a pipe, so a report must pickle.
     """
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self.passed = True
         self.counts: dict[str, int] = {}
         self.failures: list[str] = []
         self.lines: list[str] = []
 
-    def fail(self, message: str) -> None:
-        self.passed = False
-        self.failures.append(message)
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def fail(self, *messages: str) -> None:
+        self.failures.extend(messages)
 
     def verdict(self) -> str:
         return "PASS" if self.passed else "FAIL"

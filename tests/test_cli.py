@@ -597,6 +597,25 @@ def test_usage_errors(capsys):
         assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_verify_usage_errors_run_no_task(capsys, monkeypatch):
+    # a verify run without its (n, k), or with a sweep it cannot run, leaves
+    # by main's one exit-2 path before any task runs
+    calls = []
+    monkeypatch.setattr(decomposition, "verify_stanley", lambda *task: calls.append(task))
+    for argv in (
+        ("verify",),
+        ("verify", "7"),
+        ("verify", "--all-n", "1"),
+        ("verify", "--all-n", "21", "--jobs", "2"),
+        ("verify", "7", "3", "--all-n", "3"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ")
+    assert run(capsys, "verify", "--rank", "never") == (
+        2, "", "error: provide n and k, or --all-n N\n")
+    assert calls == []
+
+
 def test_determinism(capsys):
     a = run(capsys, "family", "9", "4", "{1,2,5,7,9}", "--matrix")
     b = run(capsys, "family", "9", "4", "{1,2,5,7,9}", "--matrix")

@@ -50,10 +50,10 @@ def test_boundary_examples():
 
 def test_boundary_sign_examples():
     g = Subset(4, [1, 2, 3])
-    e = boundary_sign(g, Subset(4, [1, 3]))
-    assert e.sign == -1 and e.dropped == 2
-    e = boundary_sign(g, Subset(4, [2, 3]))
-    assert e.sign == 1 and e.dropped == 1
+    # the sign of dropping the 2nd, the 1st and the 3rd smallest element
+    assert boundary_sign(g, Subset(4, [1, 3])) == -1
+    assert boundary_sign(g, Subset(4, [2, 3])) == 1
+    assert boundary_sign(g, Subset(4, [1, 2])) == 1
     assert boundary_sign(g, Subset(4, [1, 4])) is None
     with pytest.raises(ValueError):
         boundary_sign(g, Subset(4, [1]))

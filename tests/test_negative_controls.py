@@ -12,7 +12,7 @@ identity fails on it.  On the upper half, a distinguished facet that deletes
 the last peak over the members instead of the first breaks the triangle
 condition and nothing else, as does a pivot drawn at random among its
 members, on exactly the pairs an enumeration of every support finds; a
-pivot outside G stops ``verify``, and a chain with a moved or a missing
+pivot outside G stops ``verify`` and ``triangle_check``, and a chain with a moved or a missing
 insertion fails it too.  Under every chain fault, the rank check's push of the
 script's rows lists what the per-support enumeration lists.  A script row
 that removes the wrong variable, or a missing row, fails the Hilbert
@@ -32,10 +32,12 @@ import pytest
 
 import koszuldepth
 from koszuldepth import bits, checks, decomposition, maskchecks
+from koszuldepth.cli import main
 from koszuldepth.decomposition import (
     build_decomposition,
     contribution_family,
     sign_matrix,
+    triangle_check,
     verify_box,
     verify_stanley,
 )
@@ -369,11 +371,16 @@ def _outside_pivot(n, g):
 
 
 def test_a_pivot_outside_g_stops_verify(monkeypatch):
-    # g ^ pivot is then no facet of g, and the pair test would take no or
-    # wrong partners, so it stops at the first entry instead of passing
+    # g ^ pivot is then no facet of g: the pair test would take no or wrong
+    # partners, and the per-family check would find no member holding the
+    # facet, so each stops at its first entry instead of passing
     _faulted(monkeypatch, pivot_of=_outside_pivot)
     with pytest.raises(ValueError, match="is not one of its members"):
         verify_stanley(6, 3, check_rank=False)
+    family = contribution_family(8, 4, Subset(8, range(1, 9)))
+    assert family.members
+    with pytest.raises(ValueError, match="is not one of its members"):
+        triangle_check(family)
 
 
 def _moved_first_insertion(n, g):
@@ -617,6 +624,39 @@ def test_other_generator_fails_the_row_check_alone(monkeypatch):
         "rank_failures": 0,
     }
     assert rep.counts["triangle_violations"] == 0
+
+
+def test_a_size_mismatch_at_a_met_dimension_is_named(monkeypatch):
+    # at (7,3), row (S={1..7}, nothing removed, G={1,2,3}) twice, with the
+    # dimension one too high at the full support: the Hilbert identity holds
+    # there, so only the family sizes see the extra row, and a FAIL must
+    # name it
+    row = (0b1111111, None, 0b111)
+    assert row in _real_script(7, 3)
+    monkeypatch.setattr(decomposition, "_script", lambda n, k: _real_script(n, k) + (row,))
+    real = decomposition.dim_oracle
+    monkeypatch.setattr(
+        decomposition, "dim_oracle", lambda n, k, m: real(n, k, m) + (m.exponents == (1,) * n)
+    )
+    rep = verify_stanley(7, 3, check_rank=False)
+    assert not rep.passed
+    assert rep.failures == [
+        "family sizes: 1 supports meet their dimension but not C(|M|-1,k-1), "
+        "first {1,2,3,4,5,6,7}"
+    ]
+    assert rep.counts["hilbert_failures"] == 0 and rep.counts["family_size_mismatches"] == 1
+
+
+def test_an_empty_script_fails_the_depth_claim(monkeypatch, capsys):
+    # no summand is slim, so the depth claim fails on a line of its own, and
+    # verify reports a FAIL (exit 1), not a usage error
+    monkeypatch.setattr(decomposition, "_script", lambda n, k: ())
+    rep = verify_stanley(7, 3, check_rank=False)
+    assert not rep.passed and rep.counts["min_Z"] == 7
+    assert rep.failures[-1] == "depth: no summand has |Z| = n-1 = 6, |Z| sizes []"
+    assert main(["verify", "7", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.endswith("\nFAIL stanley decomposition n=7 k=3\n")
 
 
 def test_a_pass_runs_no_transform(monkeypatch):
