@@ -255,7 +255,7 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree") -> Report:
     n, k = decomp.n, decomp.k
     summands = [(sm.S.mask, sm.removed) for sm in decomp.summands]
     dims = _dims_by_size(n, k)
-    return _squarefree_hilbert(n, k, dims, _counts_off_target(n, summands, [dims]))
+    return _squarefree_hilbert(n, k, dims, _counts_off_target(n, summands, dims))
 
 
 def verify_box(n: int, k: int, box_depth: int) -> Report:
@@ -267,15 +267,14 @@ def verify_box(n: int, k: int, box_depth: int) -> Report:
     _require_box_depth(box_depth)
     pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _script(n, k)]
     rep = Report(f"hilbert identity n={n} k={k} (box)")
-    checked = 0
     for exps in product(range(box_depth + 1), repeat=n):
         m = Multidegree(n, exps)
         support, repeated = m.masks()
         got = sum(contributes(s, z, support, repeated) for s, z in pairs)
         expect = dim_oracle(n, k, m)
-        checked += 1
         if got != expect:
             rep.fail(f"multidegree {m}: {got} summands vs dimension {expect}")
+    checked = (box_depth + 1) ** n
     rep.counts["multidegrees_checked"] = checked
     rep.counts["box_depth"] = box_depth
     return _close_hilbert(rep, "box", checked)
@@ -299,15 +298,14 @@ def _dims_by_size(n: int, k: int) -> list[int]:
     ]
 
 
-def _counts_off_target(n: int, summands, targets) -> list[int] | None:
+def _counts_off_target(n: int, summands, target: list[int]) -> list[int] | None:
     """The number of summands contributing at each support mask, if at some
-    support M it differs from ``target[|M|]`` for one of the ``targets``;
-    else None.  Decided on K-polynomials, which agree exactly when the
-    counts do (README, lemma 2), so only a mismatch runs the transform."""
+    support M it differs from ``target[|M|]``; else None.  Decided on
+    K-polynomials, which agree exactly when the counts do (README, lemma 2),
+    so only a mismatch runs the transform."""
     coeffs = k_polynomial(n, summands)
-    for target in targets:
-        if any(map(ne, coeffs, _by_support(n, k_polynomial_by_size(target)))):
-            return contribution_counts(n, summands)
+    if any(map(ne, coeffs, _by_support(n, k_polynomial_by_size(target)))):
+        return contribution_counts(n, summands)
     return None
 
 
@@ -469,16 +467,17 @@ def verify_stanley(
 
     Every check reads the script's rows ``(S, removed, G)``.  Pushed into
     one list over the masks, they are the decomposition's squarefree
-    K-polynomial; the squarefree Hilbert identity compares it with the
-    K-polynomial of the dimensions (one oracle call per support size), the
-    family sizes with that of C(|M|-1, k-1), and only a mismatch runs the
-    subset-sum transform, whose counts name each failing support.  One pass
-    names each row that is not an even stop of G's chain and counts the
-    slim summands; with the Hilbert identity, which fails on a missing or
-    repeated row, each support's generators are its k-subsets of even index
-    (README, lemma 1).  The triangle condition is decided on those by pairs
-    of k-subsets, each violating pair named with its least witness support.
-    None of these visits a support; only rank does (by default for n <=
+    K-polynomial.  The dimension oracle, called once per support size s,
+    must give C(s-1, k-1), the family size; the squarefree Hilbert identity
+    compares the K-polynomial with that of the dimensions, and only a
+    mismatch or a wrong oracle runs the subset-sum transform, whose counts
+    name each failing support.  One pass names each row that is not an even
+    stop of G's chain and counts the slim summands; with the Hilbert
+    identity, which fails on a missing or repeated row, each support's
+    generators are its k-subsets of even index (README, lemma 1).  The
+    triangle condition is decided on those by pairs of k-subsets, each
+    violating pair named with its least witness support.  None of these
+    visits a support; only rank does (by default for n <=
     ``RANK_AUTO_MAX_N``): mod 2, on the generators one push of the rows
     lists and sign rows from one table of facets.  ``box_depth`` adds the
     box identity.  The depth conclusion, drawn last, cites the upper bound
@@ -496,8 +495,11 @@ def verify_stanley(
     dims = _dims_by_size(n, k)
     # the counts below size k are 0, as C(|M|-1, k-1) is there
     family_sizes = [0] + [comb(s - 1, k - 1) for s in range(1, n + 1)]
-    # a set: where the dimensions are the family sizes, one pass decides both
-    counts = _counts_off_target(n, script, {tuple(dims), tuple(family_sizes)})
+    off = [s for s in range(1, n + 1) if dims[s] != family_sizes[s]]
+    rep.fail(*(f"dimension oracle at support size {s}: {dims[s]}, "
+               f"not C({s - 1},{k - 1}) = {family_sizes[s]}" for s in off))
+    # a wrong oracle fails the run anyway; counting directly keeps both tallies exact
+    counts = contribution_counts(n, script) if off else _counts_off_target(n, script, dims)
     hilbert = _squarefree_hilbert(n, k, dims, counts)
     rep.lines.extend(hilbert.lines)
     rep.fail(*hilbert.failures)
@@ -505,13 +507,6 @@ def verify_stanley(
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
     size_mismatches = 0 if counts is None else sum(map(ne, counts, _by_support(n, family_sizes)))
-    if size_mismatches:
-        # supports that meet their dimension but not C(|M|-1, k-1) have no Hilbert line
-        unnamed = [m for m in range(1 << n)
-                   if family_sizes[m.bit_count()] != counts[m] == dims[m.bit_count()]]
-        if unnamed:
-            rep.fail(f"family sizes: {len(unnamed)} supports meet their dimension but not "
-                     f"C(|M|-1,k-1), first {Subset.from_mask(n, unnamed[0])}")
     table = k_subset_table(n, k)
     row_failures = slim = 0
     for s, removed, g in script:
@@ -527,7 +522,6 @@ def verify_stanley(
         rep.fail(f"support {R}: distinguished facet of {G} lies inside earlier {H}")
 
     supports = sum(comb(n, s) for s in range(k, n + 1))
-    rank_checked = 0
     rank_failures = 0
     if check_rank:
         families = even_families(n, script)
@@ -536,7 +530,6 @@ def verify_stanley(
             size = m_mask.bit_count()
             if size < k:
                 continue
-            rank_checked += 1
             family = families[m_mask]
             # K is any field, so a deficiency mod 2 is a counterexample; full
             # rank mod 2 gives an odd maximal minor, so full rank over Q too
@@ -547,7 +540,7 @@ def verify_stanley(
     rep.counts.update(
         summands=len(script), supports=supports, row_failures=row_failures,
         triangle_violations=triangle_violations, family_size_mismatches=size_mismatches,
-        rank_checked=rank_checked, rank_failures=rank_failures,
+        rank_checked=supports if check_rank else 0, rank_failures=rank_failures,
     )
 
     rep.lines.append(
@@ -556,7 +549,7 @@ def verify_stanley(
     )
     rep.lines.append(f"triangle condition (squashed order): {triangle_violations} violations")
     if check_rank:
-        rep.lines.append(f"exact rank: {rank_checked} sign matrices, {rank_failures} rank deficient")
+        rep.lines.append(f"exact rank: {supports} sign matrices, {rank_failures} rank deficient")
     else:
         rep.lines.append("exact rank: skipped at this size (rerun with rank checking forced)")
 

@@ -125,7 +125,7 @@ def dim_oracle(n: int, k: int, m: Multidegree) -> int:
     Computed as the alternating sum of wedge-module dimensions truncated at
     homological degree k; with s the support size of m, the j-th wedge module
     contributes C(s, j).  The closed form C(s-1, k-1) is a consequence that
-    the tests verify rather than assume.
+    ``verify`` checks on every run rather than assumes.
     """
     if not 0 < k <= n:
         raise ValueError(f"need 0 < k <= n, got k={k}, n={n}")

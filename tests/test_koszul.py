@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from koszuldepth.koszul import Multidegree, boundary_sign, dim_oracle, generator_m
-from koszuldepth.subsets import Subset
+from koszuldepth.subsets import MAX_N, Subset
 
 from helpers import (
     all_element_sets,
@@ -158,8 +158,9 @@ def test_dim_oracle_against_matrix_rank_sweep():
 
 
 def test_dim_closed_form():
-    # support-size binomial, zero below the homological degree
-    for n in range(1, 13):
+    # support-size binomial, zero below the homological degree, up to the
+    # largest n: verify checks this identity on every run
+    for n in range(1, MAX_N + 1):
         for k in range(1, n + 1):
             for s in range(0, n + 1):
                 m = Multidegree(n, [1] * s + [0] * (n - s))

@@ -188,7 +188,7 @@ def test_transform_counts_below_the_guard(unguarded, n, k, failing):
     counts = contribution_counts(n, script)
     assert counts == naive_support_counts(n, script)
     dims = decomposition._dims_by_size(n, k)
-    assert decomposition._counts_off_target(n, script, [dims]) == counts
+    assert decomposition._counts_off_target(n, script, dims) == counts
     hilbert = decomposition._squarefree_hilbert(n, k, dims, counts)
     assert len(hilbert.failures) == failing
 
@@ -629,8 +629,8 @@ def test_other_generator_fails_the_row_check_alone(monkeypatch):
 def test_a_size_mismatch_at_a_met_dimension_is_named(monkeypatch):
     # at (7,3), row (S={1..7}, nothing removed, G={1,2,3}) twice, with the
     # dimension one too high at the full support: the Hilbert identity holds
-    # there, so only the family sizes see the extra row, and a FAIL must
-    # name it
+    # there, so only the family sizes see the extra row, and the FAIL names
+    # the oracle's size that is off C(|M|-1,k-1)
     row = (0b1111111, None, 0b111)
     assert row in _real_script(7, 3)
     monkeypatch.setattr(decomposition, "_script", lambda n, k: _real_script(n, k) + (row,))
@@ -640,11 +640,28 @@ def test_a_size_mismatch_at_a_met_dimension_is_named(monkeypatch):
     )
     rep = verify_stanley(7, 3, check_rank=False)
     assert not rep.passed
-    assert rep.failures == [
-        "family sizes: 1 supports meet their dimension but not C(|M|-1,k-1), "
-        "first {1,2,3,4,5,6,7}"
-    ]
+    assert rep.failures == ["dimension oracle at support size 7: 16, not C(6,2) = 15"]
     assert rep.counts["hilbert_failures"] == 0 and rep.counts["family_size_mismatches"] == 1
+
+
+@pytest.mark.parametrize("size, hilbert_failures", [(1, 7), (3, 35), (7, 1)])
+def test_a_wrong_dimension_oracle_names_its_support_size(monkeypatch, size, hilbert_failures):
+    # at (7,3), the oracle one too high at one support size and the real
+    # script: one line names that size, every support of that size misses
+    # its dimension, and the family sizes all hold
+    real = decomposition.dim_oracle
+    monkeypatch.setattr(
+        decomposition, "dim_oracle",
+        lambda n, k, m: real(n, k, m) + (sum(m.exponents) == size),
+    )
+    rep = verify_stanley(7, 3, check_rank=False)
+    assert not rep.passed
+    assert [f for f in rep.failures if f.startswith("dimension oracle")] == [
+        f"dimension oracle at support size {size}: {comb(size - 1, 2) + 1}, "
+        f"not C({size - 1},2) = {comb(size - 1, 2)}"
+    ]
+    assert rep.counts["hilbert_failures"] == hilbert_failures
+    assert rep.counts["family_size_mismatches"] == 0
 
 
 def test_an_empty_script_fails_the_depth_claim(monkeypatch, capsys):
