@@ -7,18 +7,19 @@ lattice path, for the subset-level maps in :mod:`koszuldepth.matching`;
 ``match_tables`` finds those of every mask at once, by extending every
 prefix by one position (for the matching-law sweeps of ``check-matching``).
 ``k_subset_table`` reads every k-subset's upward chain and facet pivot off
-its path by the chain lemma, in one pass that extends every suffix by one
-position, so everything ``verify`` runs on needs no table over the 2^n
-masks.  The tables are cached for the last ``n`` (and ``k``)
-only: ``verify --all-n`` hands its tasks out in increasing (n, k) order, so
-no process comes back to an earlier size, and a larger cache only holds
-memory.
+its path by the chain lemma, in one pass per shard that extends every
+suffix by one position, into flat arrays indexed by mask, 9 bytes per mask.
+The tables are cached for the last ``n`` (and ``k``) only: ``verify
+--all-n`` hands its tasks out in increasing (n, k) order, so no process
+comes back to an earlier size, and a larger cache only holds memory.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
+from math import comb
 from operator import add
 from typing import Iterator, NamedTuple
 
@@ -118,10 +119,21 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
         i += 1
 
 
+class ChainTable(NamedTuple):
+    """The fields of :func:`k_subset_table` per mask, 0 off the k-subsets."""
+
+    added: array
+    pivot: bytearray
+    odd: array
+
+    def masks(self) -> Iterator[int]:
+        """The masks with a pivot, ascending: the k-subsets, for k >= 1."""
+        return compress(range(len(self.pivot)), self.pivot)
+
+
 @lru_cache(maxsize=1)
-def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
-    """Per k-subset g over {1..n}, k >= 1, in ascending mask order:
-    ``(added, pivot, odd)``.
+def k_subset_table(n: int, k: int) -> ChainTable:
+    """Per k-subset g over {1..n}, k >= 1: ``added``, ``pivot`` and ``odd``.
 
     ``added`` holds the elements a_1 < a_2 < ... that g's upward chain
     inserts, in that order, so it fixes every chain mask: the non-members
@@ -129,51 +141,60 @@ def k_subset_table(n: int, k: int) -> dict[int, tuple[int, int, int]]:
     (README, "The chain lemma").  ``odd`` holds a_1, a_3, ..., the next
     insertion after each chain prefix of even length, and bit n, above
     every element, when ``added`` has even size: past the chain's end.
-    ``pivot`` is the bit of the first member where the height over the
-    members alone peaks: ``g ^ pivot`` is the distinguished facet psi_tilde(g).
-
-    One pass from position n down to 1 extends every suffix by one
-    position, in lists per member count (README, "The chain table in one
-    pass").  Per suffix, ``rise`` is the largest sum of the steps right
-    after the position (+1 a member, -1 not; 0 for none), so a non-member
-    is inserted where it is 0; ``peak`` is how far the highest member after
-    the position lies above it (at most 0 for none), so a member is the
-    pivot so far where it is at most 0.  The chain's end counts as an
-    insertion at bit n, and each insertion, the lowest so far, turns the
-    even insertions above it odd and the odd ones even.
+    ``pivot`` is the position of the first member where the height over
+    the members alone peaks: ``g ^ 1 << pivot >> 1`` is the distinguished
+    facet psi_tilde(g).  Filled in shards of about 2^12 k-subsets.
     """
     check_ground(n)
+    return _table_in_shards(n, k, (comb(n, k) >> 12).bit_length())
+
+
+def _table_in_shards(n: int, k: int, shard_bits: int) -> ChainTable:
+    """The chain table in shards, one per pattern of the top ``shard_bits``
+    positions (README, "The chain table in one pass").
+
+    Per shard, one pass from position n down to 1 extends every suffix with
+    the pattern by one position, in lists per member count (none are left
+    for a pattern of more than k members, or too few).  Per suffix, ``rise``
+    is the largest sum of the steps right after the position (+1 a member,
+    -1 not; 0 for none), so a non-member is inserted where it is 0; ``peak``
+    is how far the highest member after the position lies above it (at most
+    0 for none), so a member is the pivot so far where it is at most 0.  The
+    chain's end is an insertion at bit n, and each insertion, the lowest so
+    far, turns the even insertions above it odd and the odd ones even.
+    """
     end = 1 << n
-    # per member count: masks, rise, peak, pivot, added and odd, one list each
-    by_count = {0: ([0], [0], [0], [0], [end], [end])}
-    for pos in range(n, 0, -1):
-        bit = 1 << (pos - 1)
-        grown = {}
-        # the pos - 1 positions left must hold the members still missing
-        for m in range(max(k - pos + 1, 0), min(k, n - pos + 1) + 1):
-            parts = []
-            if m in by_count:
-                masks, rise, peak, pivot, added, odd = by_count[m]
-                parts.append((
-                    masks, [r - 1 if r else 0 for r in rise], [p - 1 for p in peak], pivot,
-                    [a if r else a | bit for r, a in zip(rise, added)],
-                    [o if r else a ^ o | bit for r, a, o in zip(rise, added, odd)],
-                ))
-            if m - 1 in by_count:
-                masks, rise, peak, pivot, added, odd = by_count[m - 1]
-                parts.append((
-                    [g | bit for g in masks], [r + 1 for r in rise],
-                    [p + 1 if p > 0 else 1 for p in peak],
-                    [v if p > 0 else bit for p, v in zip(peak, pivot)], added, odd,
-                ))
-            grown[m] = tuple(map(add, *parts)) if len(parts) == 2 else parts[0]
-        by_count = grown
-    masks, _, _, pivot, added, odd = by_count[k]
-    # the lists are ordered by the lowest position first, the table by mask
-    return {
-        masks[i]: (added[i] ^ end, pivot[i], odd[i])
-        for i in sorted(range(len(masks)), key=masks.__getitem__)
-    }
+    table = ChainTable(array("I", [0]) * end, bytearray(end), array("I", [0]) * end)
+    for top in range(0, end, 1 << (n - shard_bits)):
+        # per member count: masks, rise, peak, pivot, added and odd, one list each
+        by_count = {0: ([0], [0], [0], [0], [end], [end])}
+        for pos in range(n, 0, -1):
+            bit = 1 << (pos - 1)
+            grown = {}
+            # the pos - 1 positions left must hold the members still missing;
+            # a position of the pattern holds a member exactly where top does
+            for m in range(max(k - pos + 1, 0), min(k, n - pos + 1) + 1):
+                parts = []
+                if m in by_count and not top & bit:
+                    masks, rise, peak, pivot, added, odd = by_count[m]
+                    parts.append((
+                        masks, [r - 1 if r else 0 for r in rise], [p - 1 for p in peak], pivot,
+                        [a if r else a | bit for r, a in zip(rise, added)],
+                        [o if r else a ^ o | bit for r, a, o in zip(rise, added, odd)],
+                    ))
+                if m - 1 in by_count and (pos <= n - shard_bits or top & bit):
+                    masks, rise, peak, pivot, added, odd = by_count[m - 1]
+                    parts.append((
+                        [g | bit for g in masks], [r + 1 for r in rise],
+                        [p + 1 if p > 0 else 1 for p in peak],
+                        [v if p > 0 else pos for p, v in zip(peak, pivot)], added, odd,
+                    ))
+                if parts:
+                    grown[m] = tuple(map(add, *parts)) if len(parts) == 2 else parts[0]
+            by_count = grown
+        for g, _, _, p, a, o in zip(*by_count.get(k, ((),) * 6)):
+            table.pivot[g], table.added[g], table.odd[g] = p, a ^ end, o
+    return table
 
 
 def chain_index(added: int, m: int) -> int:

@@ -13,9 +13,11 @@ argument rests on.
 
 from __future__ import annotations
 
+from contextlib import suppress
+from functools import partial
 from itertools import product
 from math import comb
-from operator import itemgetter, ne
+from operator import ne
 from typing import Iterator, NamedTuple
 
 # match_tables, phi_index and lattice_path are unused here, but the benchmark
@@ -24,8 +26,8 @@ from .bits import (
     chain_index, k_subset_table, match_tables, phi_index, sized_submasks, submasks,
 )
 from .maskchecks import (
-    contribution_counts, even_families, even_members, even_stop_row, facet_row_table,
-    k_polynomial, k_polynomial_by_size, rank_full_mod2, triangle_pairs,
+    by_size_bytes, contribution_counts, even_families, even_members, even_stop_row,
+    facet_row_table, k_polynomial, k_polynomial_by_size, rank_full_mod2, triangle_pairs,
 )
 from .koszul import KoszulChain, Multidegree, boundary_sign, dim_oracle, generator_m
 from .report import Report
@@ -98,7 +100,7 @@ class StepCheck(NamedTuple):
 
 def build_decomposition(n: int, k: int) -> Decomposition:
     """The summands as objects, for display and export; verification runs on
-    the masks of :func:`_script`."""
+    the masks of :func:`_rows`."""
     require_upper_half(n, k)
     summands = []
     for s_mask, removed, g_mask in _script(n, k):
@@ -117,8 +119,8 @@ def contributes(s: int, z: int, support: int, repeated: int) -> bool:
     return not s & ~support and not (support & ~s | s & repeated) & ~z
 
 
-def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
-    """(S mask, removed element, G mask) per summand, in (level, squashed) order.
+def _rows(n: int, k: int) -> Iterator[tuple[int, int | None, int]]:
+    """(S mask, removed element, G mask) per summand, by G ascending.
 
     Each k-subset G, with upward chain a_1 < a_2 < ..., generates the
     summands (G | a_1..a_j, removed a_{j+1}) for even j, nothing removed past
@@ -128,18 +130,19 @@ def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
     removed: S lies on the chain of G, and psi inverts phi.
     """
     end = 1 << n
-    rows = []
-    for g, (added, _, odd) in k_subset_table(n, k).items():
+    table = k_subset_table(n, k)
+    for g in table.masks():
+        added, odd = table.added[g], table.odd[g]
         # per even j, the bit of a_{j+1}, or past the chain's end bit n
         while odd:
             a = odd & -odd
             odd ^= a
-            rows.append((g | added & (a - 1), a.bit_length() if a != end else None, g))
-    # by level, then by mask: two stable sorts keyed on ints the rows already
-    # hold, where a key tuple per row raised the peak memory of `verify`
-    rows.sort(key=itemgetter(0))
-    rows.sort(key=lambda row: row[0].bit_count())
-    return tuple(rows)
+            yield g | added & (a - 1), a.bit_length() if a != end else None, g
+
+
+def _script(n: int, k: int) -> tuple[tuple[int, int | None, int], ...]:
+    """The rows of :func:`_rows` in (level, squashed) order, for listing."""
+    return tuple(sorted(_rows(n, k), key=lambda row: (row[0].bit_count(), row[0])))
 
 
 def _z_mask(n: int, removed: int | None) -> int:
@@ -179,8 +182,8 @@ def triangle_check(family: ContributionFamily) -> TriangleReport:
     position: dict[int, int] = {}
     for i, member in enumerate(family.members):
         g = member.G.mask
-        pivot = table[g][1]
-        if pivot & (pivot - 1) or not pivot & g:
+        pivot = 1 << table.pivot[g] >> 1
+        if not pivot & g:
             raise ValueError(f"pivot {pivot:#x} of {g:#x} is not one of its members")
         t = g ^ pivot
         hits = [position[t | low] for low in sized_submasks(M.mask & ~t, 1) if t | low in position]
@@ -255,7 +258,7 @@ def verify_hilbert(decomp: Decomposition, mode: str = "squarefree") -> Report:
     n, k = decomp.n, decomp.k
     summands = [(sm.S.mask, sm.removed) for sm in decomp.summands]
     dims = _dims_by_size(n, k)
-    return _squarefree_hilbert(n, k, dims, _counts_off_target(n, summands, dims))
+    return _squarefree_hilbert(n, k, dims, _counts_off_target(n, lambda: summands, dims))
 
 
 def verify_box(n: int, k: int, box_depth: int) -> Report:
@@ -265,7 +268,7 @@ def verify_box(n: int, k: int, box_depth: int) -> Report:
     its summands."""
     require_upper_half(n, k)
     _require_box_depth(box_depth)
-    pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _script(n, k)]
+    pairs = [(s_mask, _z_mask(n, removed)) for s_mask, removed, _ in _rows(n, k)]
     rep = Report(f"hilbert identity n={n} k={k} (box)")
     for exps in product(range(box_depth + 1), repeat=n):
         m = Multidegree(n, exps)
@@ -285,11 +288,6 @@ def _require_box_depth(box_depth: int) -> None:
         raise ValueError(f"box depth must be an integer >= 0, got {box_depth!r}")
 
 
-def _by_support(n: int, by_size: list[int]) -> Iterator[int]:
-    """``by_size[|M|]`` at every support mask M over {1..n}, in mask order."""
-    return map(by_size.__getitem__, map(int.bit_count, range(1 << n)))
-
-
 def _dims_by_size(n: int, k: int) -> list[int]:
     """The dimension at a squarefree degree per support size, 0 at the empty
     support: it depends on the size only, so one oracle call per size."""
@@ -298,15 +296,16 @@ def _dims_by_size(n: int, k: int) -> list[int]:
     ]
 
 
-def _counts_off_target(n: int, summands, target: list[int]) -> list[int] | None:
-    """The number of summands contributing at each support mask, if at some
-    support M it differs from ``target[|M|]``; else None.  Decided on
-    K-polynomials, which agree exactly when the counts do (README, lemma 2),
-    so only a mismatch runs the transform."""
-    coeffs = k_polynomial(n, summands)
-    if any(map(ne, coeffs, _by_support(n, k_polynomial_by_size(target)))):
-        return contribution_counts(n, summands)
-    return None
+def _counts_off_target(n: int, rows, target: list[int]) -> list[int] | None:
+    """The number of summands ``rows()`` gives at each support mask, or None
+    when at every support M it is ``target[|M|]``, as their K-polynomials in
+    bytes show (README, lemma 2); a coefficient outside the byte range, like
+    a mismatch, runs the transform."""
+    with suppress(ValueError):  # outside the byte range, the counts decide
+        coeffs = k_polynomial(rows(), bytearray(b"\x80") * (1 << n))
+        if coeffs == by_size_bytes(n, k_polynomial_by_size(target)):
+            return None
+    return contribution_counts(n, rows())
 
 
 def _squarefree_hilbert(n: int, k: int, dims: list[int], counts: list[int] | None) -> Report:
@@ -347,7 +346,7 @@ def _admissible(table, n: int, m: int, g: int, h: int) -> bool:
         and g.bit_count() == h.bit_count() >= n // 2
         and g != 0
         and h < g
-        and not (g ^ table[g][1]) & ~h
+        and not (g ^ 1 << table.pivot[g] >> 1) & ~h
     )
 
 
@@ -359,13 +358,13 @@ def _index_step(table, m: int, g: int, h: int) -> tuple[int, int, int, int]:
     the members alone peaks, so the restricted peak height is the height of
     the lattice path at p: p minus twice the non-members below p.
     """
-    added, pivot, _ = table[g]
-    ind_g = chain_index(added, m)
-    if pivot.bit_length() >= 2 * ((pivot - 1) & ~g).bit_count():
+    pos = table.pivot[g]
+    ind_g = chain_index(table.added[g], m)
+    if pos >= 2 * (((1 << pos >> 1) - 1) & ~g).bit_count():
         case, expected = 1, ind_g + 1
     else:
         case, expected = 2, 1
-    return case, ind_g, chain_index(table[h][0], m), expected
+    return case, ind_g, chain_index(table.added[h], m), expected
 
 
 def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
@@ -384,7 +383,7 @@ def index_step_check(M: Subset, G: Subset, H: Subset) -> StepCheck:
     same_ground(M, H)
     m, g, h = M.mask, G.mask, H.mask
     # psi_tilde, and so the table, is defined on non-empty subsets only
-    table = k_subset_table(M.n, len(G)) if g else {}
+    table = k_subset_table(M.n, len(G)) if g else None
     if not _admissible(table, M.n, m, g, h):
         return StepCheck("skip")
     case, ind_g, ind_h, expected = _index_step(table, m, g, h)
@@ -411,7 +410,8 @@ def index_step_sweep(n: int) -> Report:
         # fetched once: the table cache holds only the last (n, k)
         table = k_subset_table(n, size)
         before = len(failing)
-        for g_mask, (added_g, pivot, _) in table.items():
+        for g_mask in table.masks():
+            added_g, pivot = table.added[g_mask], 1 << table.pivot[g_mask] >> 1
             rest = (pivot - 1) & ~g_mask
             while rest:
                 low = rest & -rest
@@ -421,7 +421,7 @@ def index_step_sweep(n: int) -> Report:
                 if not _admissible(table, n, base, g_mask, h_mask):
                     raise RuntimeError(f"inadmissible partner {h_mask:#x} of {g_mask:#x}")
                 free = full & ~base
-                read = free & (added_g | table[h_mask][0])
+                read = free & (added_g | table.added[h_mask])
                 other = free & ~read
                 for sub in submasks(read):
                     case, _, ind_h, expected = _index_step(table, base | sub, g_mask, h_mask)
@@ -438,7 +438,7 @@ def index_step_sweep(n: int) -> Report:
     for key in failing:
         low, g_mask, m_mask = key & full, key >> n & full, key >> 2 * n + width
         table = kept[g_mask.bit_count()]
-        h_mask = g_mask ^ table[g_mask][1] | low
+        h_mask = g_mask ^ 1 << table.pivot[g_mask] >> 1 | low
         for mask in (m_mask, g_mask, h_mask):
             if mask not in text:
                 text[mask] = str(Subset.from_mask(n, mask))
@@ -465,14 +465,15 @@ def verify_stanley(
 ) -> Report:
     """Full verification of the decomposition for one (n, k).
 
-    Every check reads the script's rows ``(S, removed, G)``.  Pushed into
-    one list over the masks, they are the decomposition's squarefree
-    K-polynomial.  The dimension oracle, called once per support size s,
-    must give C(s-1, k-1), the family size; the squarefree Hilbert identity
-    compares the K-polynomial with that of the dimensions, and only a
-    mismatch or a wrong oracle runs the subset-sum transform, whose counts
-    name each failing support.  One pass names each row that is not an even
-    stop of G's chain and counts the slim summands; with the Hilbert
+    Every check reads the rows ``(S, removed, G)`` of :func:`_rows`, made
+    afresh from the chain table per pass.  Pushed into one byte per mask,
+    they are the decomposition's squarefree K-polynomial.  The dimension
+    oracle, called once per support size s, must give C(s-1, k-1), the
+    family size; the squarefree Hilbert identity compares the K-polynomial
+    with that of the dimensions, and only a mismatch or a wrong oracle runs
+    the subset-sum transform, whose counts name each failing support.  One
+    pass names each row that is not an even stop of G's chain and counts
+    the summands and the slim ones; with the Hilbert
     identity, which fails on a missing or repeated row, each support's
     generators are its k-subsets of even index (README, lemma 1).  The
     triangle condition is decided on those by pairs of k-subsets, each
@@ -489,8 +490,13 @@ def verify_stanley(
     if check_rank is None:
         check_rank = n <= RANK_AUTO_MAX_N
     rep = Report(f"stanley decomposition n={n} k={k}")
-    script = _script(n, k)
-    rep.lines.append(f"stanley decomposition of M({n},{k}): {len(script)} summands")
+    rows, table = partial(_rows, n, k), k_subset_table(n, k)
+    summands, slim, strays = 0, 0, []
+    for summands, (s, removed, g) in enumerate(rows(), 1):
+        slim += removed is not None
+        if not even_stop_row(table, s, removed, g):
+            strays.append((s, removed, g))
+    rep.lines.append(f"stanley decomposition of M({n},{k}): {summands} summands")
 
     dims = _dims_by_size(n, k)
     # the counts below size k are 0, as C(|M|-1, k-1) is there
@@ -499,22 +505,18 @@ def verify_stanley(
     rep.fail(*(f"dimension oracle at support size {s}: {dims[s]}, "
                f"not C({s - 1},{k - 1}) = {family_sizes[s]}" for s in off))
     # a wrong oracle fails the run anyway; counting directly keeps both tallies exact
-    counts = contribution_counts(n, script) if off else _counts_off_target(n, script, dims)
+    counts = contribution_counts(n, rows()) if off else _counts_off_target(n, rows, dims)
     hilbert = _squarefree_hilbert(n, k, dims, counts)
     rep.lines.extend(hilbert.lines)
     rep.fail(*hilbert.failures)
     rep.counts["hilbert_supports"] = hilbert.counts["supports_checked"]
     rep.counts["hilbert_failures"] = len(hilbert.failures)
 
-    size_mismatches = 0 if counts is None else sum(map(ne, counts, _by_support(n, family_sizes)))
-    table = k_subset_table(n, k)
-    row_failures = slim = 0
-    for s, removed, g in script:
-        slim += removed is not None
-        if not even_stop_row(table, s, removed, g):
-            row_failures += 1
-            S, G = Subset.from_mask(n, s), Subset.from_mask(n, g)
-            rep.fail(f"summand S={S} removed={removed or '-'} G={G}: not an even stop of G's chain")
+    by_support = map(family_sizes.__getitem__, map(int.bit_count, range(1 << n)))
+    size_mismatches = 0 if counts is None else sum(map(ne, counts, by_support))
+    for s, removed, g in strays:
+        S, G = Subset.from_mask(n, s), Subset.from_mask(n, g)
+        rep.fail(f"summand S={S} removed={removed or '-'} G={G}: not an even stop of G's chain")
     triangle_violations = 0
     for g, h, r in triangle_pairs(n, k):
         triangle_violations += 1
@@ -524,7 +526,7 @@ def verify_stanley(
     supports = sum(comb(n, s) for s in range(k, n + 1))
     rank_failures = 0
     if check_rank:
-        families = even_families(n, script)
+        families = even_families(n, rows())
         row_of = facet_row_table(n, k).__getitem__
         for m_mask in range(1, 1 << n):
             size = m_mask.bit_count()
@@ -538,14 +540,14 @@ def verify_stanley(
                 rep.fail(f"support {Subset.from_mask(n, m_mask)}: sign matrix rank deficient")
 
     rep.counts.update(
-        summands=len(script), supports=supports, row_failures=row_failures,
+        summands=summands, supports=supports, row_failures=len(strays),
         triangle_violations=triangle_violations, family_size_mismatches=size_mismatches,
         rank_checked=supports if check_rank else 0, rank_failures=rank_failures,
     )
 
     rep.lines.append(
         f"families: {supports} supports, sizes {'ok' if not size_mismatches else 'MISMATCHED'}, "
-        f"two-form agreement {'held' if not row_failures else 'FAILED'}"
+        f"two-form agreement {'held' if not strays else 'FAILED'}"
     )
     rep.lines.append(f"triangle condition (squashed order): {triangle_violations} violations")
     if check_rank:
@@ -553,7 +555,7 @@ def verify_stanley(
     else:
         rep.lines.append("exact rank: skipped at this size (rerun with rank checking forced)")
 
-    z_sizes = [n - 1] * (slim > 0) + [n] * (slim < len(script))
+    z_sizes = [n - 1] * (slim > 0) + [n] * (slim < summands)
     min_z = min(z_sizes, default=n)  # an empty script, with no slim summand, fails below
     rep.counts["min_Z"] = min_z
     if not slim:

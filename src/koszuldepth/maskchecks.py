@@ -5,19 +5,19 @@ upward chains of :func:`koszuldepth.bits.k_subset_table`, whose ``odd``
 field holds each chain's stops (``even_stop_row``, which checks each row of
 the script against its generator's chain, and ``triangle_pairs``, which also
 yields a witness support per violating pair), and on the script's rows
-pushed into their squarefree K-polynomial (``k_polynomial``), which decides
-the summand counts, and so the family sizes, by comparison with a target
-that depends on the support size only (``k_polynomial_by_size``).  Only a
-mismatch runs the subset-sum transform (``contribution_counts``), to count
-the summands per support; the README states the lemmas behind them.  A
-support's family is its k-subsets of even index (``even_members`` for one
-support).  The rank check mod 2 reads every family at once from one push
-of the script's rows (``even_families``), so it tests the generators the
-script names, and every member's row from one table of sign-matrix rows
-mod 2 over all (k-1)-subsets of {1..n} (``facet_row_table``); a row has
-bits only at its member's facets, which lie in the support, so against
-the support's own sign matrix it only gains zero columns, and
-``rank_full_mod2`` decides on it unchanged.
+pushed into their squarefree K-polynomial (``k_polynomial``, one byte per
+mask), which decides the summand counts, and so the family sizes, against
+a target per support size (``k_polynomial_by_size``, in bytes
+``by_size_bytes``).  Only a mismatch runs the subset-sum transform
+(``contribution_counts``), to count the summands per support; the README
+states the lemmas behind them.  A support's family is its k-subsets of even
+index (``even_members`` for one support).  The rank check mod 2 reads every
+family at once from one push of the rows (``even_families``), so it tests
+the generators the script names, and every member's row from one table of
+sign-matrix rows mod 2 over all (k-1)-subsets of {1..n}
+(``facet_row_table``); a row has bits only at its member's facets, which
+lie in the support, so against the support's own sign matrix it only gains
+zero columns, and ``rank_full_mod2`` decides on it unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def even_members(table, m: int, k: int) -> list[tuple[int, int]]:
     (``table`` as :func:`k_subset_table` gives it)."""
     members = []
     for g in sized_submasks(m, k):
-        ind = chain_index(table[g][0], m)
+        ind = chain_index(table.added[g], m)
         if not ind & 1:
             members.append((g, ind))
     return members
@@ -55,8 +55,10 @@ def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
     and the lowest such j; ``odd`` gives the bits of a_{i+1} and b_{j+1}.
     """
     table = k_subset_table(n, k)
-    for g, (added, pivot, odd) in table.items():
-        if pivot & (pivot - 1) or not pivot & g:
+    added_at, pivot_at, odd_at = table
+    for g in table.masks():
+        added, pivot, odd = added_at[g], 1 << pivot_at[g] >> 1, odd_at[g]
+        if not pivot & g:
             raise ValueError(f"pivot {pivot:#x} of {g:#x} is not one of its members")
         # per even i, g | a_1..a_i and the bit of a_{i+1}; past the chain's
         # end, a bit above every element, which no chain inserts
@@ -70,7 +72,7 @@ def triangle_pairs(n: int, k: int) -> Iterator[tuple[int, int, int]]:
             x = partners & -partners
             partners ^= x
             h = g ^ pivot | x
-            b_added, _, b_odd = table[h]
+            b_added, b_odd = added_at[h], odd_at[h]
             for base, a in stops:
                 if a == x:
                     continue
@@ -103,12 +105,13 @@ def subset_sums(values: list[int], n: int) -> None:
                 values[lo + step::span] = map(add, values[lo + step::span], values[lo::span])
 
 
-def k_polynomial(n: int, summands) -> list[int]:
+def k_polynomial(summands, coeffs):
     """The summands' squarefree K-polynomial, the numerator of their Hilbert
-    series over prod(1 - x_i), as its coefficient per mask over {1..n}: +1
-    at S and -1 at S plus the removed element, per summand ``(S, removed,
-    ...)``.  Its sums over submasks count the summands per support."""
-    coeffs = [0] * (1 << n)
+    series over prod(1 - x_i), as its coefficient per mask: +1 at S and -1
+    at S plus the removed element, per summand ``(S, removed, ...)``, pushed
+    into ``coeffs``, 2^n zeros, or 2^n bytes of 128 that raise ValueError on
+    a coefficient outside -128..127.  Its sums over submasks count the
+    summands per support."""
     # indexing the rows, where unpacking `s, removed, *_` built a list per row
     for row in summands:
         s, removed = row[0], row[1]
@@ -128,11 +131,21 @@ def k_polynomial_by_size(by_size: list[int]) -> list[int]:
     ]
 
 
+def by_size_bytes(n: int, by_size: list[int]) -> bytearray:
+    """``by_size[|T|]`` at every mask T over {1..n}, offset by 128 into one
+    byte each: the popcounts by doubling, then one translate from size to
+    value, both in C.  A value outside -128..127 raises ValueError."""
+    sizes, plus_one = bytearray(1), bytes(range(1, 256)) + b"\0"
+    for _ in range(n):
+        sizes += sizes.translate(plus_one)
+    return sizes.translate(bytes(v + 128 for v in by_size).ljust(256, b"\0"))
+
+
 def contribution_counts(n: int, summands) -> list[int]:
     """Per support mask, how many summands ``(S, removed, ...)`` contribute
     there, those with S inside it and the removed element outside: the sums
     of :func:`k_polynomial` over submasks."""
-    counts = k_polynomial(n, summands)
+    counts = k_polynomial(summands, [0] * (1 << n))
     subset_sums(counts, n)
     return counts
 
@@ -168,10 +181,11 @@ def even_stop_row(table, s: int, removed: int | None, g: int) -> bool:
     chain (``table`` as :func:`k_subset_table` gives it): G is a k-subset,
     S is G plus the chain's first j insertions for an even j, and the
     removed element, outside S, is the next insertion, None past the end."""
-    entry = table.get(g)
-    if entry is None or s & g != g:
+    added_at, _, odd_at = table
+    # off the k-subsets odd is 0, and so is every stop tested below
+    if g >= len(odd_at) or s & g != g:
         return False
-    added, _, odd = entry
+    added, odd = added_at[g], odd_at[g]
     # the next insertion's bit; past the chain's end, the bit above every
     # element that odd holds when the chain is even
     a = odd & ~added if removed is None else 1 << (removed - 1) & added

@@ -15,13 +15,14 @@ for the table's one pass, and the base of the producer faults.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 from typing import NamedTuple
 
 import sympy
 
 from koszuldepth import decomposition
-from koszuldepth.bits import sized_submasks
+from koszuldepth.bits import ChainTable, sized_submasks
 from koszuldepth.koszul import KoszulChain, Multidegree, dim_oracle, generator_m
 from koszuldepth.report import Report
 from koszuldepth.subsets import Subset
@@ -193,11 +194,12 @@ def even_stops(added: int) -> list[tuple[int, int]]:
 
 
 def k_subset_entry(n: int, g: int, insertions=chain_insertions, pivot_of=scan_pivot):
-    """The chain table's entry ``(added, pivot, odd)`` of g, from one
-    ``insertions`` and one ``pivot_of`` call, with ``odd`` read off
-    :func:`even_stops` (bit n for the stop past the chain's end)."""
+    """The chain table's fields ``(added, pivot, odd)`` at g, from one
+    ``insertions`` and one ``pivot_of`` call (the pivot's position), with
+    ``odd`` read off :func:`even_stops` (bit n for the stop past the
+    chain's end)."""
     added = insertions(n, g)
-    pivot = 1 << (pivot_of(n, g) - 1)
+    pivot = pivot_of(n, g)
     odd = 0
     for _, a in even_stops(added):
         odd |= a or 1 << n
@@ -205,13 +207,14 @@ def k_subset_entry(n: int, g: int, insertions=chain_insertions, pivot_of=scan_pi
 
 
 def k_subset_table_per_subset(n: int, k: int, insertions=chain_insertions, pivot_of=scan_pivot):
-    """The reference for ``bits.k_subset_table``: :func:`k_subset_entry` per
-    k-subset g, ascending.  The producer faults pass their own
-    ``insertions`` or ``pivot_of``."""
-    return {
-        g: k_subset_entry(n, g, insertions, pivot_of)
-        for g in sized_submasks((1 << n) - 1, k)
-    }
+    """The reference for ``bits.k_subset_table``: :func:`k_subset_entry`
+    written into the arrays at each k-subset g.  The producer faults pass
+    their own ``insertions`` or ``pivot_of``."""
+    table = ChainTable(array("I", [0]) * (1 << n), bytearray(1 << n), array("I", [0]) * (1 << n))
+    for g in sized_submasks((1 << n) - 1, k):
+        table.added[g], table.pivot[g], table.odd[g] = k_subset_entry(n, g, insertions, pivot_of)
+    return table
+
 
 
 def naive_squashed_precedes(a: set[int], b: set[int]) -> bool:
@@ -398,7 +401,7 @@ def support_major_index_sweep(n: int):
         for size in range(max(n // 2, 1), m_mask.bit_count() + 1):
             table = by_size[size]
             for g_mask in sized_submasks(m_mask, size):
-                pivot = table[g_mask][1]
+                pivot = 1 << table.pivot[g_mask] >> 1
                 rest = m_mask & (pivot - 1) & ~g_mask
                 while rest:
                     low = rest & -rest

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import koszuldepth
+from koszuldepth import bits
 from koszuldepth.bits import (
     chain_index,
     k_subset_table,
@@ -134,26 +135,37 @@ def test_one_chain_engine():
 @pytest.mark.parametrize("n", range(1, 17))
 def test_k_subset_table_equals_the_per_subset_reference(n):
     # the suffix pass against one chain_insertions and one pivot scan per
-    # k-subset, at every k check-lemma reads, in the same (ascending) order
+    # k-subset, at every k check-lemma reads: every field at every mask,
+    # 0 off the k-subsets
     for k in range(1, n + 1):
         got = k_subset_table(n, k)
-        want = k_subset_table_per_subset(n, k)
-        assert got == want, k
-        assert list(got) == list(want), k
+        assert (got.added.typecode, got.odd.typecode) == ("I", "I")
+        assert got == k_subset_table_per_subset(n, k), k
+        assert len(got.pivot) == 1 << n
+
+
+@pytest.mark.parametrize("shard_bits", range(4))
+def test_k_subset_table_in_shards(shard_bits):
+    # n = 12 fills its table in one shard; forced to 2, 4 and 8 shards, one
+    # per pattern of the top positions, it fills the same arrays
+    n = 12
+    for k in range(1, n + 1):
+        assert bits._table_in_shards(n, k, shard_bits) == k_subset_table_per_subset(n, k), k
 
 
 @pytest.mark.parametrize("n", [18, 19, 20])
 def test_k_subset_table_sampled_at_large_n(n):
-    # a seeded sample of entries, at k = n/2 and one more k, in ascending order
+    # a seeded sample of entries, at k = n/2 and one more k; the entries
+    # are the k-subsets, ascending
     rng = random.Random(n)
     for k in (n // 2, rng.randrange(1, n + 1)):
         table = k_subset_table(n, k)
-        keys = list(table)
+        keys = list(table.masks())
         assert len(keys) == comb(n, k)
         assert keys == sorted(keys)
         assert all(g.bit_count() == k for g in keys)
         for g in rng.sample(keys, min(len(keys), 300)):
-            assert table[g] == k_subset_entry(n, g), (k, g)
+            assert (table.added[g], table.pivot[g], table.odd[g]) == k_subset_entry(n, g), (k, g)
 
 
 @pytest.mark.parametrize("n", range(15, 21))
@@ -163,80 +175,69 @@ def test_chain_lemma_sampled_past_n_14(n):
     # facet, g without the pivot, against the definition
     rng = random.Random(n)
     table = k_subset_table(n, rng.randrange(n // 2, n))
-    for g in rng.sample(list(table), min(len(table), 200)):
-        added, pivot, _ = table[g]
+    keys = list(table.masks())
+    for g in rng.sample(keys, min(len(keys), 200)):
         top = g
         while (mu := scan(n, top)[1]) != n:
             top |= 1 << mu
-        assert added == top ^ g, g
-        assert g ^ pivot == _mask(naive_facet(n, _elements(g))), g
+        assert table.added[g] == top ^ g, g
+        assert g ^ 1 << table.pivot[g] >> 1 == _mask(naive_facet(n, _elements(g))), g
 
 
 def _stop_field_readers(tree):
     """Per function of a module, whether it reads the stop field of a chain
-    table entry (unpacks an entry into three names and binds the third, or
-    indexes it at 2) and whether it calls ``k_subset_table``.
+    table (its ``odd`` attribute or index 2, or the third name of an unpack
+    of the table) and whether it calls ``k_subset_table``.
 
     A table is a ``k_subset_table`` call, a parameter named ``table`` or a
-    name bound to one; an entry is a table subscripted, its ``get``, a value
-    of its ``items()`` or a name bound to one of those.
+    name bound to one.
     """
     def called(node, name):
         return isinstance(node, ast.Call) and name in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None)
         )
 
+    def named(target, i, size):
+        # an unpack into `size` names whose i-th is bound, not "_"
+        return (
+            isinstance(target, ast.Tuple) and len(target.elts) == size
+            and isinstance(target.elts[i], ast.Name) and target.elts[i].id != "_"
+        )
+
     for fn in tree.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
         tables = {arg.arg for arg in fn.args.args if arg.arg == "table"}
-        entries, unpacked = set(), []
 
         def is_table(node):
             return isinstance(node, ast.Name) and node.id in tables or called(node, "k_subset_table")
 
-        def is_entry(node):
-            if isinstance(node, ast.Name):
-                return node.id in entries
-            if isinstance(node, ast.Subscript):
-                return is_table(node.value)
-            return called(node, "get") and is_table(node.func.value)
-
-        def bind(target, entry):
-            if isinstance(target, ast.Name):
-                (entries if entry else tables).add(target.id)
-            elif entry and isinstance(target, ast.Tuple):
-                unpacked.append(target)
-
         # bindings in any order: repeat until no new name is bound
         for _ in range(3):
             for node in ast.walk(fn):
-                if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                    if is_table(node.value) or is_entry(node.value):
-                        bind(node.targets[0], is_entry(node.value))
-                elif isinstance(node, (ast.For, ast.comprehension)):
-                    items = called(node.iter, "items") and is_table(node.iter.func.value)
-                    if items and isinstance(node.target, ast.Tuple) and len(node.target.elts) == 2:
-                        bind(node.target.elts[1], True)
-        reads = any(
-            len(t.elts) == 3 and isinstance(t.elts[2], ast.Name) and t.elts[2].id != "_"
-            for t in unpacked
-        ) or any(
-            isinstance(node, ast.Subscript) and is_entry(node.value)
-            and isinstance(node.slice, ast.Constant) and node.slice.value == 2
-            for node in ast.walk(fn)
-        )
+                if isinstance(node, ast.Assign) and len(node.targets) == 1 and is_table(node.value):
+                    if isinstance(node.targets[0], ast.Name):
+                        tables.add(node.targets[0].id)
+        reads = False
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Attribute) and node.attr == "odd":
+                reads |= is_table(node.value)
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                reads |= is_table(node.value) and node.slice.value == 2
+            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
+                reads |= is_table(node.value) and named(node.targets[0], 2, 3)
         calls = any(called(node, "k_subset_table") for node in ast.walk(fn))
         yield fn.name, reads, calls
 
 
 @pytest.mark.parametrize("source, reads", [
-    ("def f(table, g):\n    return table[g][2]", True),
-    ("def f(table, g):\n    return table[g][1]", False),
-    ("def f(n, k):\n    for g, (a, p, odd) in k_subset_table(n, k).items():\n        pass", True),
-    ("def f(n, k):\n    for g, (a, p, _) in k_subset_table(n, k).items():\n        pass", False),
-    ("def f(n, k, g):\n    t = k_subset_table(n, k)\n    e = t.get(g)\n    a, p, odd = e", True),
-    ("def f(n, k, g):\n    t = k_subset_table(n, k)\n    return [e[2] for _, e in t.items()]", True),
+    ("def f(table, g):\n    return table.odd[g]", True),
+    ("def f(table, g):\n    return table.pivot[g]", False),
+    ("def f(table, g):\n    return table[2][g]", True),
+    ("def f(n, k):\n    for g in k_subset_table(n, k).masks():\n        pass", False),
+    ("def f(n, k):\n    t = k_subset_table(n, k)\n    a, p, odd = t", True),
+    ("def f(n, k):\n    t = k_subset_table(n, k)\n    a, p, _ = t", False),
+    ("def f(n, k):\n    t = k_subset_table(n, k)\n    return [t.odd[g] for g in t.masks()]", True),
     ("def f(script):\n    for s, removed, g in script:\n        pass", False),
     ("def f(rows):\n    s, r, g = rows[0]", False),
 ])
@@ -247,10 +248,10 @@ def test_stop_field_readers_sees_each_form(source, reads):
 
 
 def test_one_family_producer():
-    # the families have one derivation from the chains, the script: only
-    # the script, the row check against its chains and the triangle test by
+    # the families have one derivation from the chains, the rows: only
+    # the rows, the row check against its chains and the triangle test by
     # pairs read the chain table's stops, and the rank check's push reads
-    # the script's rows, neither the chain table nor its stops
+    # the rows, neither the chain table nor its stops
     readers, callers = set(), set()
     for path in Path(koszuldepth.__file__).parent.glob("*.py"):
         for name, reads, calls in _stop_field_readers(ast.parse(path.read_text())):
@@ -259,7 +260,7 @@ def test_one_family_producer():
             if calls:
                 callers.add((path.name, name))
     assert readers == {
-        ("decomposition.py", "_script"),
+        ("decomposition.py", "_rows"),
         ("maskchecks.py", "even_stop_row"),
         ("maskchecks.py", "triangle_pairs"),
     }
@@ -287,10 +288,12 @@ def test_chain_index_equals_naive_index(n):
     full = (1 << n) - 1
     for k in range(max(n // 2, 1), n):
         table = k_subset_table(n, k)
-        assert len(table) == comb(n, k)
-        for g, (added, pivot, _) in table.items():
+        masks = list(table.masks())
+        assert len(masks) == comb(n, k)
+        for g in masks:
+            added = table.added[g]
             G = _elements(g)
-            assert g ^ pivot == _mask(naive_facet(n, G))
+            assert g ^ 1 << table.pivot[g] >> 1 == _mask(naive_facet(n, G))
             for extra in submasks(full & ~g):
                 M = _elements(g | extra)
                 assert chain_index(added, g | extra) == naive_index_up(n, G, M), (G, M)

@@ -711,3 +711,32 @@ def test_module_entrypoint():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+# Spawns its arguments and prints the exit code and the child's peak RSS in
+# KB.  A child's peak record starts at its spawner's own, so spawning from
+# this small interpreter, not from pytest, keeps pytest's peak out of it.
+_PEAK_LAUNCHER = (
+    "import os, sys\n"
+    "pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ)\n"
+    "_, status, usage = os.wait4(pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def test_verify_18_9_peak_memory():
+    # the chain table in flat arrays and the rows streamed from it: a
+    # regression to a dict of tuples or a materialised script (35.7 MB)
+    # fails here
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_LAUNCHER, sys.executable, "-m", "koszuldepth",
+         "verify", "18", "9", "--rank", "never"],
+        capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "PASS stanley decomposition n=18 k=9"
+    code, peak_kb = map(int, lines[-1].split())
+    assert code == 0
+    assert peak_kb < 28 * 1024, f"verify 18 9 peaked at {peak_kb / 1024:.1f} MB"

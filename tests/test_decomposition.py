@@ -30,8 +30,8 @@ from koszuldepth import decomposition, koszul, matching
 from koszuldepth.bits import k_subset_table, match_tables, submasks
 from koszuldepth.koszul import Multidegree
 from koszuldepth.maskchecks import (
-    contribution_counts, even_families, even_members, even_stop_row, facet_row_table,
-    k_polynomial, k_polynomial_by_size, triangle_pairs,
+    by_size_bytes, contribution_counts, even_families, even_members, even_stop_row,
+    facet_row_table, k_polynomial, k_polynomial_by_size, triangle_pairs,
 )
 from koszuldepth.subsets import Subset
 
@@ -251,8 +251,8 @@ def test_even_stop_row_is_membership_in_the_stops(n):
     full = (1 << n) - 1
     for k in decomposition.upper_half(n):
         table = k_subset_table(n, k)
-        for g, (added, *_) in table.items():
-            stops = set(even_stops(added))
+        for g in table.masks():
+            stops = set(even_stops(table.added[g]))
             for extra in submasks(full & ~g):
                 for removed in [None, *range(1, n + 2)]:
                     a = 0 if removed is None else 1 << (removed - 1)
@@ -271,12 +271,26 @@ def test_k_polynomial_of_the_module(n):
         dims = decomposition._dims_by_size(n, k)
         assert [k_polynomial_by_size(dims)[s] for s in sizes] == want
         if k in decomposition.upper_half(n):
-            assert k_polynomial(n, decomposition._script(n, k)) == want
+            assert k_polynomial(decomposition._script(n, k), [0] * (1 << n)) == want
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_byte_target_equals_the_moebius_sums(n):
+    # the target in bytes, popcounts doubled and translated, holds each
+    # upper-half Moebius sum of its mask's size, offset by 128; a value
+    # outside -128..127 raises
+    sizes = [t.bit_count() for t in range(1 << n)]
+    for k in decomposition.upper_half(n):
+        by_size = k_polynomial_by_size(decomposition._dims_by_size(n, k))
+        assert list(by_size_bytes(n, by_size)) == [by_size[s] + 128 for s in sizes], k
+    for value in (-129, 128):
+        with pytest.raises(ValueError):
+            by_size_bytes(n, [0] * n + [value])
 
 
 def _perturbed(data, n, k):
-    """The script of (n, k) with one fault drawn: a row dropped, repeated or
-    added, or a row's removed element moved."""
+    """The rows of (n, k), in the script's order, with one fault drawn: a
+    row dropped, repeated or added, or a row's removed element moved."""
     rows = list(decomposition._script(n, k))
     i = data.draw(st.integers(0, len(rows) - 1), label="row")
     s, removed, g = rows[i]
@@ -307,11 +321,11 @@ def test_k_polynomial_decision_names_what_the_transform_names(data):
     k = data.draw(st.sampled_from(list(decomposition.upper_half(n))), label="k")
     rows = _perturbed(data, n, k)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decomposition, "_script", lambda n_, k_: rows)
+        mp.setattr(decomposition, "_rows", lambda n_, k_: rows)
         got = verify_stanley(n, k, check_rank=False)
         mp.setattr(
             decomposition, "_counts_off_target",
-            lambda n_, summands, targets: contribution_counts(n_, summands),
+            lambda n_, rows_, target: contribution_counts(n_, rows_()),
         )
         want = verify_stanley(n, k, check_rank=False)
     for field in ("passed", "counts", "failures", "lines"):
@@ -638,13 +652,15 @@ def test_box_depth_must_be_a_non_negative_integer(depth):
 def test_verify_stanley_rejects_the_box_depth_before_any_check(monkeypatch):
     # a bad depth fails before any check runs, not after all of them
     calls = []
-    script = decomposition._script
-    monkeypatch.setattr(decomposition, "_script", lambda n, k: calls.append(n) or script(n, k))
+    rows = decomposition._rows
+    monkeypatch.setattr(decomposition, "_rows", lambda n, k: calls.append(n) or rows(n, k))
     for depth in (-1, 1.5, True):
         with pytest.raises(ValueError, match="box depth must be an integer >= 0"):
             verify_stanley(14, 7, check_rank=True, box_depth=depth)
     assert calls == []
-    assert verify_stanley(3, 1, box_depth=1).passed and calls == [3, 3]
+    # the row check, the K-polynomial, rank's push and the box identity
+    # each make the rows afresh
+    assert verify_stanley(3, 1, box_depth=1).passed and calls == [3, 3, 3, 3]
 
 
 def test_verify_hilbert_pointwise_examples():
@@ -810,12 +826,13 @@ def test_index_step_sweep_reads_the_table_pivots(monkeypatch):
         "failures": sum(tr.index_H != tr.expected_H for tr in triples),
     }
     assert index_step_sweep(n).counts == tallies
-    table = dict(k_subset_table(n, 4))
-    g, (added, pivot, odd) = next(
-        (g, entry) for g, entry in table.items()
-        if ((entry[1] - 1) & ~g).bit_count() > (((g & -g) - 1) & ~g).bit_count()
+    real = k_subset_table(n, 4)
+    table = real._replace(pivot=bytearray(real.pivot))
+    g = next(
+        g for g in real.masks()
+        if (((1 << real.pivot[g] >> 1) - 1) & ~g).bit_count() > (((g & -g) - 1) & ~g).bit_count()
     )
-    table[g] = (added, g & -g, odd)
+    table.pivot[g] = (g & -g).bit_length()
     monkeypatch.setattr(
         decomposition, "k_subset_table",
         lambda n_, k_: table if (n_, k_) == (n, 4) else k_subset_table(n_, k_),

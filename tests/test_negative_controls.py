@@ -43,7 +43,7 @@ from koszuldepth.decomposition import (
 )
 from koszuldepth.koszul import Multidegree, dim_oracle
 from koszuldepth.maskchecks import (
-    contribution_counts, even_families, even_members, triangle_pairs
+    contribution_counts, even_families, even_members, k_polynomial, triangle_pairs
 )
 from koszuldepth.subsets import Subset
 
@@ -188,7 +188,7 @@ def test_transform_counts_below_the_guard(unguarded, n, k, failing):
     counts = contribution_counts(n, script)
     assert counts == naive_support_counts(n, script)
     dims = decomposition._dims_by_size(n, k)
-    assert decomposition._counts_off_target(n, script, dims) == counts
+    assert decomposition._counts_off_target(n, lambda: script, dims) == counts
     hilbert = decomposition._squarefree_hilbert(n, k, dims, counts)
     assert len(hilbert.failures) == failing
 
@@ -498,9 +498,9 @@ def test_even_families_skip_a_stop_inside_g(insertion_inside_g, n, k):
 def test_row_check_names_a_stop_inside_g(insertion_inside_g, n, k):
     # g's least element e counts as an insertion: every row from the stop at
     # e on fails the row check, the row that removes e from S included, as
-    # its S holds e or its removed element lies in S
-    script = decomposition._script(n, k)
-    off = [(s, r, g) for s, r, g in script if r is None or 1 << (r - 1) >= g & -g]
+    # its S holds e or its removed element lies in S; named in the rows' order
+    rows = list(decomposition._rows(n, k))
+    off = [(s, r, g) for s, r, g in rows if r is None or 1 << (r - 1) >= g & -g]
     assert any(r is not None and 1 << (r - 1) == g & -g for _, r, g in off)
     rep = verify_stanley(n, k, check_rank=False)
     assert rep.counts["row_failures"] == len(off)
@@ -511,11 +511,17 @@ def test_row_check_names_a_stop_inside_g(insertion_inside_g, n, k):
     ]
 
 
-_real_script = decomposition._script
+_real_rows = decomposition._rows
+
+
+def _real_script(n, k):
+    """The rows of the real ``decomposition._rows``, in the script's
+    (level, squashed) order, which the producer faults below patch in."""
+    return tuple(sorted(_real_rows(n, k), key=lambda row: (row[0].bit_count(), row[0])))
 
 
 def _removed_off_by_one(n, k):
-    """``decomposition._script`` with a producer fault: the first row whose
+    """``decomposition._rows`` with a producer fault: the first row whose
     removed element r has r < n and r + 1 outside S removes r + 1 instead."""
     rows = list(_real_script(n, k))
     i = next(i for i, (s, r, _) in enumerate(rows) if r is not None and r < n and not s >> r & 1)
@@ -525,7 +531,7 @@ def _removed_off_by_one(n, k):
 
 
 def _dropped_summand(n, k):
-    """``decomposition._script`` with a producer fault: the middle row is
+    """``decomposition._rows`` with a producer fault: the middle row is
     missing."""
     rows = list(_real_script(n, k))
     del rows[len(rows) // 2]
@@ -533,7 +539,7 @@ def _dropped_summand(n, k):
 
 
 def _other_generator(n, k):
-    """``decomposition._script`` with a producer fault: the first row whose
+    """``decomposition._rows`` with a producer fault: the first row whose
     S is not its G names the least other k-subset of S as G."""
     rows = list(_real_script(n, k))
     i = next(i for i, (s, _, g) in enumerate(rows) if s != g)
@@ -553,7 +559,7 @@ _SCRIPT_FAULT_FAILURES = {
 
 @pytest.fixture(params=list(_SCRIPT_FAULT_FAILURES), ids=lambda fault: fault.__name__.strip("_"))
 def script_fault(monkeypatch, request):
-    monkeypatch.setattr(decomposition, "_script", request.param)
+    monkeypatch.setattr(decomposition, "_rows", request.param)
     yield request.param
 
 
@@ -614,7 +620,7 @@ def test_other_generator_fails_the_row_check_alone(monkeypatch):
     # {1,2,3}; the counts, the triangle and the rank check all pass on it
     assert _real_script(6, 3)[20] == (0b11111, 6, 0b111)
     assert _other_generator(6, 3)[20] == (0b11111, 6, 0b1011)
-    monkeypatch.setattr(decomposition, "_script", _other_generator)
+    monkeypatch.setattr(decomposition, "_rows", _other_generator)
     rep = verify_stanley(6, 3, check_rank=True)
     assert rep.failures == [
         "summand S={1,2,3,4,5} removed=6 G={1,2,4}: not an even stop of G's chain"
@@ -633,7 +639,7 @@ def test_a_size_mismatch_at_a_met_dimension_is_named(monkeypatch):
     # the oracle's size that is off C(|M|-1,k-1)
     row = (0b1111111, None, 0b111)
     assert row in _real_script(7, 3)
-    monkeypatch.setattr(decomposition, "_script", lambda n, k: _real_script(n, k) + (row,))
+    monkeypatch.setattr(decomposition, "_rows", lambda n, k: _real_script(n, k) + (row,))
     real = decomposition.dim_oracle
     monkeypatch.setattr(
         decomposition, "dim_oracle", lambda n, k, m: real(n, k, m) + (m.exponents == (1,) * n)
@@ -667,7 +673,7 @@ def test_a_wrong_dimension_oracle_names_its_support_size(monkeypatch, size, hilb
 def test_an_empty_script_fails_the_depth_claim(monkeypatch, capsys):
     # no summand is slim, so the depth claim fails on a line of its own, and
     # verify reports a FAIL (exit 1), not a usage error
-    monkeypatch.setattr(decomposition, "_script", lambda n, k: ())
+    monkeypatch.setattr(decomposition, "_rows", lambda n, k: ())
     rep = verify_stanley(7, 3, check_rank=False)
     assert not rep.passed and rep.counts["min_Z"] == 7
     assert rep.failures[-1] == "depth: no summand has |Z| = n-1 = 6, |Z| sizes []"
@@ -684,14 +690,49 @@ def test_a_pass_runs_no_transform(monkeypatch):
     monkeypatch.setattr(maskchecks, "subset_sums", lambda *args: calls.append(args[1]) or real(*args))
     assert verify_stanley(10, 5).passed
     assert calls == []
-    monkeypatch.setattr(decomposition, "_script", _dropped_summand)
+    monkeypatch.setattr(decomposition, "_rows", _dropped_summand)
     assert not verify_stanley(10, 5).passed
     assert calls and set(calls) == {10}
+
+
+def _repeated_row(n, k):
+    """``decomposition._rows`` with a producer fault: the first row 200
+    times, so its S gets a K-polynomial coefficient of 200, outside the
+    byte range."""
+    rows = _real_script(n, k)
+    return rows[:1] * 200 + rows[1:]
+
+
+def test_a_coefficient_outside_the_byte_range_falls_back_to_the_counts(monkeypatch):
+    # the byte K-polynomial raises on the coefficient 200, and verify then
+    # names exactly the supports, and counts exactly the failures, that the
+    # transform on the list path names and counts
+    n, k = 7, 3
+    rows = _repeated_row(n, k)
+    with pytest.raises(ValueError):
+        k_polynomial(rows, bytearray(b"\x80") * (1 << n))
+    monkeypatch.setattr(decomposition, "_rows", _repeated_row)
+    got = verify_stanley(n, k, check_rank=False)
+    monkeypatch.setattr(
+        decomposition, "_counts_off_target",
+        lambda n_, rows_, target: contribution_counts(n_, rows_()),
+    )
+    want = verify_stanley(n, k, check_rank=False)
+    for field in ("passed", "counts", "failures", "lines"):
+        assert getattr(got, field) == getattr(want, field), field
+    counts = naive_support_counts(n, rows)
+    lines = [
+        f"support {Subset.from_mask(n, m)}: {counts[m]} summands vs dimension "
+        f"{comb(m.bit_count() - 1, k - 1)}"
+        for m in range(1, 1 << n) if counts[m] != comb(m.bit_count() - 1, k - 1)
+    ]
+    assert lines and got.failures == lines
+    assert got.counts["hilbert_failures"] == got.counts["family_size_mismatches"] == len(lines)
 
 
 def test_script_order_is_not_a_fault(monkeypatch):
     # a direct sum has no order: the script in descending squashed order
     # passes verify, and only the listing of decompose changes
-    monkeypatch.setattr(decomposition, "_script", lambda n, k: _real_script(n, k)[::-1])
+    monkeypatch.setattr(decomposition, "_rows", lambda n, k: _real_script(n, k)[::-1])
     for n, k in ((6, 3), (8, 4), (9, 4)):
         assert verify_stanley(n, k, check_rank=True).passed
