@@ -7,10 +7,10 @@ worker processes without changing the emitted text.
 
 from __future__ import annotations
 
-# the package first: compiling it before argparse is resident keeps peak RSS lower
-from . import checks, decomposition, matching
+# compiled before argparse is resident, for a lower peak; decomposition loads per command
+from . import checks, matching
 from .report import Report
-from .subsets import Subset, check_ground, lattice_path, parse_subset
+from .subsets import RANK_AUTO_MAX_N, Subset, check_ground, lattice_path, parse_subset
 
 import argparse
 import os
@@ -37,6 +37,7 @@ def _verify_tasks(tasks: list[tuple], workers: int) -> list[Report]:
     ``verify_stanley`` is read off its module at each call, where the
     benchmark tracer wraps it.
     """
+    from . import decomposition
     children = []  # (pid, read end of its pipe), not yet reaped
     try:
         for w in range(1, workers):
@@ -174,6 +175,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import decomposition
     M = parse_subset(args.n, args.M)
     family = decomposition.contribution_family(args.n, args.k, M)
     matrix = decomposition.sign_matrix(family) if args.matrix else None
@@ -207,6 +209,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import decomposition
     decomp = decomposition.build_decomposition(args.n, args.k)
     if args.format == "json":
         print(_dumps(decomposition.decomposition_to_dict(decomp)))
@@ -219,6 +222,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import decomposition
     rank = {"auto": None, "always": True, "never": False}[args.rank]
     if args.box is not None and args.box < 0:
         raise ValueError(f"--box needs a depth >= 0, got {args.box}")
@@ -259,7 +263,7 @@ _CHECKS = {
     "inverse": checks.check_inverse_law,
     "index-eq": checks.check_index_equivalence,
     "greedy": checks.check_greedy_agreement,
-    "lemma-ind": decomposition.index_step_sweep,
+    "lemma-ind": checks.index_step_sweep,
 }
 
 
@@ -351,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also run the boxed dimension check with entries up to D "
                     "(recommended maxima: n = 9 at D = 2, n = 12 at D = 1)")
     sp.add_argument("--rank", choices=("auto", "always", "never"), default="auto",
-                    help=f"GF(2) rank checking (auto: on for n <= {decomposition.RANK_AUTO_MAX_N}; "
+                    help=f"GF(2) rank checking (auto: on for n <= {RANK_AUTO_MAX_N}; "
                     "forced, it peaked at 164 MB at (17, 8) and 480 MB at (18, 9))")
     sp.add_argument("--jobs", type=int, default=1, metavar="W",
                     help="processes for sweeps, this one included, at most one per (n, k) task")

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator, NamedTuple
 # Hard cap on the ground set size.  Exhaustive sweeps stay well below it;
 # it only guards against accidentally requesting 2^n-sized work.
 MAX_N = 20
+# verify checks rank by default up to this n
+RANK_AUTO_MAX_N = 15
 
 
 def check_ground(n: int) -> None:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import sympy
 
-from koszuldepth import decomposition
+from koszuldepth import checks
 from koszuldepth.bits import ChainTable, sized_submasks
 from koszuldepth.koszul import KoszulChain, Multidegree, dim_oracle, generator_m
 from koszuldepth.report import Report
@@ -386,14 +386,14 @@ def admissible_triples(n: int):
 
 
 def support_major_index_sweep(n: int):
-    """The reference for ``decomposition.index_step_sweep``: the loop over
+    """The reference for ``checks.index_step_sweep``: the loop over
     every support M, size, G inside M and x in M outside G below G's pivot,
     deciding each triple on its own.  It reads the k-subset tables through
-    the ``decomposition`` module, so a table patched there reaches it too."""
+    the ``checks`` module, so a table patched there reaches it too."""
     rep = Report(f"index increment n={n}")
     # fetched once: the table cache holds only the last (n, k)
     by_size = {
-        size: decomposition.k_subset_table(n, size) for size in range(max(n // 2, 1), n + 1)
+        size: checks.k_subset_table(n, size) for size in range(max(n // 2, 1), n + 1)
     }
     by_case = {1: 0, 2: 0}
     checked = 0
@@ -407,8 +407,8 @@ def support_major_index_sweep(n: int):
                     low = rest & -rest
                     rest ^= low
                     h_mask = g_mask ^ pivot | low
-                    assert decomposition._admissible(table, n, m_mask, g_mask, h_mask)
-                    case, ind_g, ind_h, expected = decomposition._index_step(
+                    assert checks._admissible(table, n, m_mask, g_mask, h_mask)
+                    case, ind_g, ind_h, expected = checks._index_step(
                         table, m_mask, g_mask, h_mask
                     )
                     checked += 1

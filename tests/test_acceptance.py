@@ -11,17 +11,17 @@ from collections import Counter
 import pytest
 
 from koszuldepth.checks import (
+    StepCheck,
     check_greedy_agreement,
     check_index_equivalence,
     check_inverse_law,
+    index_step_check,
+    index_step_sweep,
 )
 from koszuldepth.cli import main
 from koszuldepth.decomposition import (
     build_decomposition,
-    StepCheck,
     contribution_family,
-    index_step_check,
-    index_step_sweep,
     verify_box,
     verify_stanley,
 )

@@ -14,6 +14,7 @@ from koszuldepth.bits import (
     chain_index,
     k_subset_table,
     match_tables,
+    phi_index,
     scan,
     sized_submasks,
     submasks,
@@ -297,3 +298,16 @@ def test_chain_index_equals_naive_index(n):
             for extra in submasks(full & ~g):
                 M = _elements(g | extra)
                 assert chain_index(added, g | extra) == naive_index_up(n, G, M), (G, M)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phi_index_equals_chain_index(n):
+    # the upward walk on the tables over all masks against the chain table,
+    # at every G inside M, the empty G included (its table reads only added)
+    full = (1 << n) - 1
+    tables = match_tables(n)
+    for k in range(n + 1):
+        table = k_subset_table(n, k)
+        for g in sized_submasks(full, k):
+            for extra in submasks(full & ~g):
+                assert phi_index(tables, g, g | extra) == chain_index(table.added[g], g | extra)

@@ -236,6 +236,8 @@ def test_psi_phi_index_commands(capsys):
     assert run(capsys, "index", "7", "12457", "147")[1] == "2\n"
     code, out, _ = run(capsys, "psi", "3", "{2}", "--format", "json")
     assert json.loads(out) == {"defined": False, "value": None, "pivot": None}
+    code, out, _ = run(capsys, "index", "7", "12457", "147", "--format", "json")
+    assert code == 0 and json.loads(out) == {"index": 2}
 
 
 def test_family_text(capsys):
@@ -698,6 +700,45 @@ def test_package_import_loads_only_the_named_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["koszuldepth.subsets"]
+
+
+# The modules behind verify, family and decompose alone.
+_VERIFY_MODULES = {"koszuldepth.decomposition", "koszuldepth.maskchecks", "koszuldepth.koszul"}
+
+
+_LOADS = [
+    (("check-matching", "6"), 0, False),
+    (("check-lemma", "5"), 1, False),
+    (("path", "7", "147"), 0, False),
+    (("psi", "7", "147"), 0, False),
+    (("phi", "7", "147"), 0, False),
+    (("index", "7", "12457", "147"), 0, False),
+    (("verify", "4", "2"), 0, True),
+    (("family", "7", "3", "12457"), 0, True),
+    (("decompose", "4", "2"), 0, True),
+]
+
+
+@pytest.mark.parametrize("argv, code, verifies", _LOADS, ids=[argv[0] for argv, *_ in _LOADS])
+def test_each_command_loads_the_verify_modules_only_if_it_runs_them(argv, code, verifies):
+    # a fresh interpreter per command: the law sweeps and the single-subset
+    # queries compile none of decomposition, maskchecks and koszul
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    script = (
+        "import contextlib, io, sys\n"
+        "from koszuldepth.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, *(m for m in sys.modules if m.startswith('koszuldepth.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+    got, *loaded = proc.stdout.split()
+    assert int(got) == code
+    assert "koszuldepth.cli" in loaded
+    assert _VERIFY_MODULES & set(loaded) == (_VERIFY_MODULES if verifies else set())
 
 
 def test_module_entrypoint():

@@ -10,13 +10,10 @@ from hypothesis import given, settings, strategies as st
 from koszuldepth.decomposition import (
     ContributionFamily,
     FamilyMember,
-    StepCheck,
     build_decomposition,
     contributes,
     contribution_family,
     decomposition_to_dict,
-    index_step_check,
-    index_step_sweep,
     rank_full,
     rank_full_mod2,
     require_upper_half,
@@ -26,7 +23,8 @@ from koszuldepth.decomposition import (
     verify_hilbert,
     verify_stanley,
 )
-from koszuldepth import decomposition, koszul, matching
+from koszuldepth import checks, decomposition, koszul, matching
+from koszuldepth.checks import StepCheck, index_step_check, index_step_sweep
 from koszuldepth.bits import k_subset_table, match_tables, submasks
 from koszuldepth.koszul import Multidegree
 from koszuldepth.maskchecks import (
@@ -78,6 +76,9 @@ def test_range_guard():
             require_upper_half(n, k)
         with pytest.raises(ValueError):
             build_decomposition(n, k)
+    for k in (2.0, "2", True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            require_upper_half(4, k)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -808,7 +809,7 @@ def test_index_step_sweep_equals_the_support_major_loop(n):
 
 def test_index_step_sweep_guards_admissibility(monkeypatch):
     # the check that every (G, x) partner is admissible survives python -O
-    monkeypatch.setattr(decomposition, "_admissible", lambda *args: False)
+    monkeypatch.setattr(checks, "_admissible", lambda *args: False)
     with pytest.raises(RuntimeError, match="inadmissible partner"):
         index_step_sweep(5)
 
@@ -834,7 +835,7 @@ def test_index_step_sweep_reads_the_table_pivots(monkeypatch):
     )
     table.pivot[g] = (g & -g).bit_length()
     monkeypatch.setattr(
-        decomposition, "k_subset_table",
+        checks, "k_subset_table",
         lambda n_, k_: table if (n_, k_) == (n, 4) else k_subset_table(n_, k_),
     )
     assert index_step_sweep(n).counts != tallies

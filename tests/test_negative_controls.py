@@ -284,7 +284,7 @@ def _last_pivot(n, mask):
 
 
 # every module of the package that binds the chain table
-_TABLE_BINDINGS = (bits, maskchecks, decomposition)
+_TABLE_BINDINGS = (bits, checks, maskchecks, decomposition)
 
 
 def _faulted(monkeypatch, **fault):
@@ -471,7 +471,7 @@ def test_index_step_sweep_reads_both_chains_under_a_chain_fault(moved_first_inse
     # with the first insertion moved, the verdict at a support depends on
     # both chains' bits outside G | x, so the grouped sweep equals the loop
     # over every support only if it reads the bits of G's chain and of H's
-    got, want = decomposition.index_step_sweep(n), support_major_index_sweep(n)
+    got, want = checks.index_step_sweep(n), support_major_index_sweep(n)
     for field in ("name", "passed", "counts", "failures", "lines"):
         assert getattr(got, field) == getattr(want, field), field
 
@@ -630,6 +630,20 @@ def test_other_generator_fails_the_row_check_alone(monkeypatch):
         "rank_failures": 0,
     }
     assert rep.counts["triangle_violations"] == 0
+
+
+def test_a_generator_outside_its_support_fails_the_row_check(monkeypatch):
+    # at (6,3), row 20 (S={1,2,3,4,5}, removed 6) names G={1,2,6}, which S
+    # lacks a member of, so the row check stops at its first test: G inside S
+    rows, row = _real_script(6, 3), (0b11111, 6, 0b100011)
+    assert rows[20] == (0b11111, 6, 0b111)
+    assert not maskchecks.even_stop_row(bits.k_subset_table(6, 3), *row)
+    monkeypatch.setattr(decomposition, "_rows", lambda n, k: rows[:20] + (row,) + rows[21:])
+    rep = verify_stanley(6, 3, check_rank=True)
+    assert not rep.passed
+    assert [f for f in rep.failures if f.endswith("not an even stop of G's chain")] == [
+        "summand S={1,2,3,4,5} removed=6 G={1,2,6}: not an even stop of G's chain"
+    ]
 
 
 def test_a_size_mismatch_at_a_met_dimension_is_named(monkeypatch):

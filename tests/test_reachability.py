@@ -5,10 +5,10 @@ The walk is static and over-approximates.  Its roots are module-level code,
 ``cli.main`` and every name in ``perfbench/trace.py`` (read, never changed).
 From a reached function or class it follows the names the body loads: a
 bare name to the definition it binds in that module, directly or through an
-import; ``module.name`` to that module's definition; and any other
-``.attr`` to every method called ``attr``.  Methods are reached only that
-way.  A reached class brings its bases, decorators, class body and dunder
-methods along.
+import, a function-local one included; ``module.name`` to that module's
+definition; and any other ``.attr`` to every method called ``attr``.
+Methods are reached only that way.  A reached class brings its bases,
+decorators, class body and dunder methods along.
 """
 
 import ast
@@ -41,13 +41,15 @@ class _Module:
                     for item in node.body:
                         if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                             self.methods[f"{node.name}.{item.name}"] = item
-            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            elif not isinstance(node, ast.Import | ast.ImportFrom):
+                self.body.append(node)
+        # a function-local import binds its names as if at module level
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for alias in node.names:
                     # ("module", m) for `from . import m`, else (module, name)
                     target = (node.module or "module", alias.name)
                     self.imports[alias.asname or alias.name] = target
-            elif not isinstance(node, ast.Import | ast.ImportFrom):
-                self.body.append(node)
 
 
 def _walk_class(node):

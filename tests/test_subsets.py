@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from koszuldepth.subsets import (
     MAX_N,
     Subset,
+    check_ground,
     format_subset,
     lattice_path,
     parse_subset,
@@ -111,6 +112,9 @@ def test_ground_validation():
         Subset(3, [4])
     with pytest.raises(ValueError):
         Subset(3, [0])
+    for n in (3.0, "3", True):
+        with pytest.raises(ValueError, match="must be an integer"):
+            check_ground(n)
 
 
 def test_mixed_grounds_rejected():
@@ -122,6 +126,10 @@ def test_mask_roundtrip():
     for n in (1, 5, 9):
         for mask in range(1 << n):
             assert Subset.from_mask(n, mask).mask == mask
+        # a mask wider than n, or negative, fits no subset of {1..n}
+        for mask in (1 << n, -1):
+            with pytest.raises(ValueError, match="does not fit ground set"):
+                Subset.from_mask(n, mask)
 
 
 def test_format_and_parse():
