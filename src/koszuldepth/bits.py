@@ -27,9 +27,14 @@ from .subsets import check_ground
 
 
 class MatchTables(NamedTuple):
+    """``psi`` and ``phi`` of every mask over {1..n}, each an ``array("i")``
+    of 2^n masks indexed by mask, -1 where the map is undefined.  Indexing
+    with -1 reads the last entry, so a reader tests for -1 before it uses
+    an entry as an index."""
+
     n: int
-    psi: tuple[int | None, ...]
-    phi: tuple[int | None, ...]
+    psi: array
+    phi: array
 
 
 def scan(n: int, mask: int) -> tuple[int, int, int]:
@@ -59,6 +64,11 @@ def scan(n: int, mask: int) -> tuple[int, int, int]:
     return nu, mu, pivot
 
 
+# gap + 1, and max(gap - 1, 0), per byte
+_GAP_UP = bytes(range(1, 256)) + b"\0"
+_GAP_DOWN = b"\0" + bytes(range(255))
+
+
 @lru_cache(maxsize=1)
 def match_tables(n: int) -> MatchTables:
     """``psi`` and ``phi`` of every mask over {1..n}.
@@ -69,20 +79,24 @@ def match_tables(n: int) -> MatchTables:
     ``gap`` is the running maximum minus the current height.  A member at
     gap 0 is a new peak (``nu`` and ``mu``), at gap 1 it ties the maximum
     (``mu``); after a member the gap is max(gap - 1, 0), after a non-member
-    gap + 1.
+    gap + 1.  The three are one byte per mask, and the tables are filled
+    in chunks of 2^12 masks, so no list of 2^n ints is built.
     """
     check_ground(n)
-    nu, mu, gap = [0], [0], [0]
+    nu, mu, gap = bytearray(1), bytearray(1), bytearray(1)
     for pos in range(1, n + 1):
-        nu += [v if g else pos for g, v in zip(gap, nu)]
-        mu += [v if g > 1 else pos for g, v in zip(gap, mu)]
-        gap = [g + 1 for g in gap] + [g - 1 if g else 0 for g in gap]
-    # each list of 2^n is dropped once read, which lowers the peak at large n
-    del gap
-    psi_t = tuple([mask ^ (1 << (v - 1)) if v else None for mask, v in enumerate(nu)])
-    del nu
-    phi_t = tuple([mask | (1 << v) if v != n else None for mask, v in enumerate(mu)])
-    return MatchTables(n, psi_t, phi_t)
+        nu += bytes(v if g else pos for g, v in zip(gap, nu))
+        mu += bytes(v if g > 1 else pos for g, v in zip(gap, mu))
+        gap = gap.translate(_GAP_UP) + gap.translate(_GAP_DOWN)
+    size, step = 1 << n, 1 << 12
+    # written in place: two arrays grown side by side are copied as they grow
+    psi, phi = array("i", [-1]) * size, array("i", [-1]) * size
+    for start in range(0, size, step):
+        part = slice(start, start + step)
+        masks = range(start, size)
+        psi[part] = array("i", [m ^ 1 << v >> 1 if v else -1 for m, v in zip(masks, nu[part])])
+        phi[part] = array("i", [m | 1 << v if v != n else -1 for m, v in zip(masks, mu[part])])
+    return MatchTables(n, psi, phi)
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -113,7 +127,7 @@ def phi_index(tables: MatchTables, g: int, m: int) -> int:
     phi_t = tables.phi
     while True:
         nxt = phi_t[cur]
-        if nxt is None or nxt & ~m:
+        if nxt < 0 or nxt & ~m:
             return i
         cur = nxt
         i += 1
@@ -216,6 +230,6 @@ def psi_index_table(tables: MatchTables, m: int) -> dict[int, int]:
     for g in submasks(m):
         i = ind.setdefault(g, 0)
         prev = psi_t[g]
-        if prev is not None and ind.get(prev, -1) <= i:
+        if prev >= 0 and ind.get(prev, -1) <= i:
             ind[prev] = i + 1
     return ind

@@ -24,8 +24,9 @@ class StepCheck(NamedTuple):
     expected_H: int | None = None
 
 
-def _subset(n: int, mask: int | None) -> Subset | None:
-    return None if mask is None else Subset.from_mask(n, mask)
+def _subset(n: int, mask: int) -> Subset | None:
+    """The subset of a table entry, ``None`` for an undefined one (-1)."""
+    return None if mask < 0 else Subset.from_mask(n, mask)
 
 
 def check_inverse_law(n: int) -> Report:
@@ -34,25 +35,24 @@ def check_inverse_law(n: int) -> Report:
     total above the halfway threshold."""
     rep = Report(f"inverse law n={n}")
     tables = match_tables(n)
+    psi, phi = tables.psi, tables.phi
     threshold = (n + 1 + 1) // 2  # ceil((n+1)/2)
     image = bytearray(1 << n)
     psi_defined = 0
-    for mask in range(1 << n):
-        down = tables.psi[mask]
-        up = tables.phi[mask]
-        if down is not None:
+    for mask, down, up in zip(range(1 << n), psi, phi):
+        if down >= 0:
             psi_defined += 1
             image[down] = 1
-            if tables.phi[down] != mask:
+            if phi[down] != mask:
                 rep.fail(f"phi(psi({_subset(n, mask)})) != {_subset(n, mask)}")
         elif mask.bit_count() >= threshold:
             rep.fail(f"psi undefined on {_subset(n, mask)} despite |G| >= {threshold}")
-        if up is not None and tables.psi[up] != mask:
+        if up >= 0 and psi[up] != mask:
             rep.fail(f"psi(phi({_subset(n, mask)})) != {_subset(n, mask)}")
     mismatches = 0
     for size in range(n + 1):
         for mask in sized_submasks((1 << n) - 1, size):
-            if image[mask] != (tables.phi[mask] is not None):
+            if image[mask] != (phi[mask] >= 0):
                 mismatches += 1
                 side = "image only" if image[mask] else "phi-domain only"
                 rep.fail(f"image/domain mismatch at {_subset(n, mask)} ({side})")
@@ -83,15 +83,13 @@ def check_index_equivalence(n: int) -> Report:
     rep = Report(f"index equivalence n={n}")
     tables = match_tables(n)
     phi, psi = tables.phi, tables.psi
-    for g in range(1 << n):
-        h = phi[g]
-        if h is not None:
-            if h & g != g or (h ^ g).bit_count() != 1:
-                rep.fail(f"phi({_subset(n, g)}) = {_subset(n, h)} does not add one element")
-            if psi[h] != g:
+    for g, up, down in zip(range(1 << n), phi, psi):
+        if up >= 0:
+            if up & g != g or (up ^ g).bit_count() != 1:
+                rep.fail(f"phi({_subset(n, g)}) = {_subset(n, up)} does not add one element")
+            if psi[up] != g:
                 rep.fail(f"psi(phi({_subset(n, g)})) != {_subset(n, g)}")
-        h = psi[g]
-        if h is not None and phi[h] != g:
+        if down >= 0 and phi[down] != g:
             rep.fail(f"phi(psi({_subset(n, g)})) != {_subset(n, g)}")
     rep.counts["pairs"] = 3 ** n
     rep.counts["failures"] = len(rep.failures)
@@ -116,13 +114,13 @@ def check_greedy_agreement(n: int) -> Report:
     threshold = (n + 2) // 2  # ceil((n+1)/2)
     low_mismatches = 0
     upper_sets = 0
-    tables = match_tables(n)
+    psi = match_tables(n).psi
     for l in range(n):
         greedy = matching.greedy_lex_matching(n, l)
         upper = l + 1 >= threshold
         for mask in sized_submasks((1 << n) - 1, l + 1):
-            expected = tables.psi[mask]
-            got = greedy.get(mask)
+            expected = psi[mask]
+            got = greedy.get(mask, -1)
             if upper:
                 upper_sets += 1
                 if got != expected:

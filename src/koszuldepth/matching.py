@@ -95,14 +95,14 @@ def greedy_lex_matching(n: int, l: int) -> dict[int, int]:
     check_ground(n)
     if not 0 <= l < n:
         raise ValueError(f"level must satisfy 0 <= l < n, got l={l}, n={n}")
-    used: set[int] = set()
+    used = bytearray(1 << n)
     out: dict[int, int] = {}
     for big in combinations([1 << e for e in range(n)], l + 1):
         big_mask = sum(big)
         for drop in reversed(big):
             small = big_mask ^ drop
-            if small not in used:
-                used.add(small)
+            if not used[small]:
+                used[small] = 1
                 out[big_mask] = small
                 break
     return out

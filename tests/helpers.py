@@ -28,6 +28,18 @@ from koszuldepth.report import Report
 from koszuldepth.subsets import Subset
 
 
+def none_form(table) -> list[int | None]:
+    """A ``psi`` or ``phi`` table as a list, ``None`` where it is undefined
+    (-1), for the oracles, which never index with an undefined entry."""
+    return [None if v < 0 else v for v in table]
+
+
+def array_form(entries) -> array:
+    """The inverse of :func:`none_form`: entries, ``None`` or any mask,
+    back in the table format, so a corruption can write any mask."""
+    return array("i", [-1 if v is None else v for v in entries])
+
+
 def naive_path(n: int, elements: set[int]):
     """Scalar re-derivation of the height profile and its peak data."""
     heights = [0]
@@ -122,14 +134,15 @@ def script_by_psi(tables, k: int) -> tuple[tuple[int, int | None, int], ...]:
     element is the one phi(S) inserts, and G = psi^(|S|-k)(S).  Raises
     where psi runs out before size k."""
     n = tables.n
+    psi, phi = none_form(tables.psi), none_form(tables.phi)
     out = []
     for size in range(k, n + 1, 2):
         for elements in sorted(combinations(range(n), size), key=lambda c: c[::-1]):
             s_mask = sum(1 << e for e in elements)
-            up = tables.phi[s_mask]
+            up = phi[s_mask]
             g_mask = s_mask
             for _ in range(size - k):
-                g_mask = tables.psi[g_mask]
+                g_mask = psi[g_mask]
                 if g_mask is None:
                     raise ValueError(f"downward matching undefined below mask {s_mask:#x}")
             out.append((s_mask, None if up is None else (up ^ s_mask).bit_length(), g_mask))
@@ -288,6 +301,7 @@ def naive_index_disagreements(tables) -> list[tuple[int, int, int, int]]:
     upward index walks ``tables.phi`` from G for each pair; the downward one
     is the longest ``tables.psi`` chain into G, over chains started from every
     subset of M."""
+    psi, phi = none_form(tables.psi), none_form(tables.phi)
     out = []
     for m in range(1 << tables.n):
         inside = [g for g in range(m, -1, -1) if g & m == g]
@@ -296,11 +310,11 @@ def naive_index_disagreements(tables) -> list[tuple[int, int, int, int]]:
             cur, steps = start, 0
             while cur is not None:
                 down[cur] = max(down.get(cur, 0), steps)
-                cur, steps = tables.psi[cur], steps + 1
+                cur, steps = psi[cur], steps + 1
         for g in inside:
             cur, up = g, 0
-            while tables.phi[cur] is not None and tables.phi[cur] & m == tables.phi[cur]:
-                cur, up = tables.phi[cur], up + 1
+            while phi[cur] is not None and phi[cur] & m == phi[cur]:
+                cur, up = phi[cur], up + 1
             if up != down[g]:
                 out.append((m, g, up, down[g]))
     return out
@@ -450,19 +464,20 @@ def naive_inverse_failures(tables) -> list[str]:
         return "{" + ",".join(str(e) for e in range(1, n + 1) if (mask >> (e - 1)) & 1) + "}"
 
     threshold = (n + 2) // 2
+    psi, phi = none_form(tables.psi), none_form(tables.phi)
     out = []
     image, domain = set(), set()
     for mask in range(1 << n):
-        down, up = tables.psi[mask], tables.phi[mask]
+        down, up = psi[mask], phi[mask]
         if down is not None:
             image.add(down)
-            if tables.phi[down] != mask:
+            if phi[down] != mask:
                 out.append(f"phi(psi({text(mask)})) != {text(mask)}")
         elif bin(mask).count("1") >= threshold:
             out.append(f"psi undefined on {text(mask)} despite |G| >= {threshold}")
         if up is not None:
             domain.add(mask)
-            if tables.psi[up] != mask:
+            if psi[up] != mask:
                 out.append(f"psi(phi({text(mask)})) != {text(mask)}")
     for size in range(n + 1):
         for elements in combinations(range(1, n + 1), size):

@@ -15,9 +15,11 @@ from koszuldepth.subsets import Subset
 
 from helpers import (
     all_element_sets,
+    array_form,
     index_by_psi,
     naive_index_disagreements,
     naive_inverse_failures,
+    none_form,
 )
 
 
@@ -48,10 +50,10 @@ def test_inverse_law_fails_on_corrupted_tables(monkeypatch):
     n = 6
     tables = match_tables(n)
     assert naive_inverse_failures(tables) == []
-    psi, phi = list(tables.psi), list(tables.phi)
+    psi, phi = none_form(tables.psi), none_form(tables.phi)
     assert (psi[0b001111], phi[0b010000]) == (0b000111, 0b010001)
     psi[0b001111] = phi[0b010000] = None
-    corrupted = tables._replace(psi=tuple(psi), phi=tuple(phi))
+    corrupted = tables._replace(psi=array_form(psi), phi=array_form(phi))
     monkeypatch.setattr(checks, "match_tables", lambda _n: corrupted)
     rep = check_inverse_law(n)
     expected = naive_inverse_failures(corrupted)
@@ -83,12 +85,12 @@ def test_index_equivalence_sweep():
 
 def _patch_tables(monkeypatch, tables, **entries):
     """Install a copy of ``tables`` with the given {mask: value} entries
-    written into its named maps."""
-    maps = {name: list(getattr(tables, name)) for name in entries}
+    written into its named maps (``None`` for undefined)."""
+    maps = {name: none_form(getattr(tables, name)) for name in entries}
     for name, changes in entries.items():
         for mask, value in changes.items():
             maps[name][mask] = value
-    patched = tables._replace(**{name: tuple(v) for name, v in maps.items()})
+    patched = tables._replace(**{name: array_form(v) for name, v in maps.items()})
     monkeypatch.setattr(checks, "match_tables", lambda _n: patched)
     return patched
 
@@ -99,7 +101,7 @@ def test_index_equivalence_fails_on_a_two_cycle(monkeypatch):
     # so only the one-element condition can reject the tables
     n, g, h = 5, 0b01010, 0b11010
     tables = match_tables(n)
-    assert (tables.phi[g], tables.psi[h], tables.phi[h], tables.psi[g]) == (h, g, None, None)
+    assert (tables.phi[g], tables.psi[h], tables.phi[h], tables.psi[g]) == (h, g, -1, -1)
     _patch_tables(monkeypatch, tables, phi={h: g}, psi={g: h})
     rep = check_index_equivalence(n)
     assert not rep.passed
@@ -116,7 +118,7 @@ def _corrupt(rng, tables):
     in the map's own direction, or to an arbitrary mask; and whether every
     new entry is None or such a step."""
     n, size = tables.n, 1 << tables.n
-    maps = {"phi": list(tables.phi), "psi": list(tables.psi)}
+    maps = {"phi": none_form(tables.phi), "psi": none_form(tables.psi)}
     steps_only = True
     for _ in range(rng.randint(1, 2)):
         name, mask = rng.choice(("phi", "psi")), rng.randrange(size)
@@ -130,7 +132,7 @@ def _corrupt(rng, tables):
         else:
             wrong, steps_only = rng.randrange(size), False
         maps[name][mask] = wrong
-    corrupted = tables._replace(phi=tuple(maps["phi"]), psi=tuple(maps["psi"]))
+    corrupted = tables._replace(phi=array_form(maps["phi"]), psi=array_form(maps["psi"]))
     return corrupted, steps_only
 
 
@@ -170,7 +172,7 @@ def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle, broken):
     # it names exactly the steps that do not add an element
     n = 6
     tables = match_tables(n)
-    phi, psi = list(tables.phi), list(tables.psi)
+    phi, psi = none_form(tables.phi), none_form(tables.psi)
     for x in range(1 << n):
         if x in cycle or phi[x] in cycle:
             phi[x] = None
@@ -178,7 +180,7 @@ def test_index_equivalence_fails_on_a_cycle(monkeypatch, cycle, broken):
             psi[x] = None
     for g, h in zip(cycle, cycle[1:]):
         phi[g], psi[h] = h, g
-    cyclic = tables._replace(phi=tuple(phi), psi=tuple(psi))
+    cyclic = tables._replace(phi=array_form(phi), psi=array_form(psi))
     monkeypatch.setattr(checks, "match_tables", lambda _n: cyclic)
     rep = check_index_equivalence(n)
     assert not rep.passed
@@ -202,7 +204,7 @@ def test_index_equivalence_fails_on_corrupted_table(monkeypatch, field, mask, wr
     # and the per-pair oracle confirms that some pair disagrees there
     n = 6
     tables = match_tables(n)
-    assert getattr(tables, field)[mask] not in (None, wrong)
+    assert getattr(tables, field)[mask] not in (-1, wrong)
     corrupted = _patch_tables(monkeypatch, tables, **{field: {mask: wrong}})
     rep = check_index_equivalence(n)
     assert naive_index_disagreements(corrupted)
@@ -219,6 +221,25 @@ def test_greedy_agreement_sweep():
         # empirical finding, reported not asserted by the contract: the
         # closed formula matches greedy on the partial levels as well
         assert rep.counts["low_level_mismatches"] == 0
+
+
+def test_greedy_agreement_fails_on_corrupted_tables(monkeypatch):
+    # negative control: on the total levels (size >= 4 at n = 6), one psi
+    # entry made a wrong mask and one made undefined are each named by level
+    # and mask, against greedy's own choice
+    n = 6
+    tables = match_tables(n)
+    assert (tables.psi[0b001111], tables.psi[0b111111]) == (0b000111, 0b011111)
+    _patch_tables(monkeypatch, tables, psi={0b001111: 0b001011, 0b111111: None})
+    rep = check_greedy_agreement(n)
+    assert not rep.passed
+    assert rep.failures == [
+        "level 4: greedy gives {1,2,3} but formula gives {1,2,4} at {1,2,3,4}",
+        "level 6: greedy gives {1,2,3,4,5} but formula gives None at {1,2,3,4,5,6}",
+    ]
+    assert rep.counts["upper_mismatches"] == 2
+    assert rep.counts["low_level_mismatches"] == 0
+    assert "2 mismatches; below threshold: 0 mismatches" in rep.lines[-1]
 
 
 def test_report_text_shape():

@@ -768,16 +768,20 @@ _PEAK_LAUNCHER = (
 def test_verify_18_9_peak_memory():
     # the chain table in flat arrays and the rows streamed from it: a
     # regression to a dict of tuples or a materialised script (35.7 MB)
-    # fails here
+    # fails here; and check-matching 18 on its psi/phi tables in int arrays
+    # and greedy's used set in a bytearray (43.5 MB as tuples and a set)
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", _PEAK_LAUNCHER, sys.executable, "-m", "koszuldepth",
-         "verify", "18", "9", "--rank", "never"],
-        capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[-2] == "PASS stanley decomposition n=18 k=9"
-    code, peak_kb = map(int, lines[-1].split())
-    assert code == 0
-    assert peak_kb < 28 * 1024, f"verify 18 9 peaked at {peak_kb / 1024:.1f} MB"
+    for argv, verdict, bound_mb in (
+        (["verify", "18", "9", "--rank", "never"], "PASS stanley decomposition n=18 k=9", 28),
+        (["check-matching", "18"], "PASS greedy agreement n=18", 32),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_LAUNCHER, sys.executable, "-m", "koszuldepth", *argv],
+            capture_output=True, text=True, env=env, cwd=REPO, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[-2] == verdict
+        code, peak_kb = map(int, lines[-1].split())
+        assert code == 0
+        assert peak_kb < bound_mb * 1024, f"{' '.join(argv)} peaked at {peak_kb / 1024:.1f} MB"
