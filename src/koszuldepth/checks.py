@@ -3,13 +3,14 @@ tables: inverse law, index equivalence, greedy agreement, index increment."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from itertools import chain, compress
+from math import comb
+from typing import Iterable, NamedTuple
 
 from . import matching
 # phi_index and psi_index_table are unused here, but the benchmark tracer
 # wraps this module's bindings
-from .bits import (chain_index, k_subset_table, match_tables, phi_index, psi_index_table,
-                   sized_submasks, submasks)
+from .bits import chain_index, k_subset_table, match_tables, phi_index, psi_index_table, submasks
 from .report import Report
 from .subsets import Subset, same_ground
 
@@ -29,6 +30,18 @@ def _subset(n: int, mask: int) -> Subset | None:
     return None if mask < 0 else Subset.from_mask(n, mask)
 
 
+def _total_level(n: int) -> int:
+    return (n + 2) // 2  # ceil((n+1)/2): psi is defined on every set of this size or more
+
+
+def _by_level(n: int, flags: Iterable[bool]) -> list[list[int]]:
+    """The masks whose flag is set, in one bucket per size, each ascending."""
+    levels: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in compress(range(1 << n), flags):
+        levels[mask.bit_count()].append(mask)
+    return levels
+
+
 def check_inverse_law(n: int) -> Report:
     """Over all 2^n subsets: the two maps invert each other, the image of the
     downward map is the domain of the upward one, and the downward map is
@@ -36,7 +49,7 @@ def check_inverse_law(n: int) -> Report:
     rep = Report(f"inverse law n={n}")
     tables = match_tables(n)
     psi, phi = tables.psi, tables.phi
-    threshold = (n + 1 + 1) // 2  # ceil((n+1)/2)
+    threshold = _total_level(n)
     image = bytearray(1 << n)
     psi_defined = 0
     for mask, down, up in zip(range(1 << n), psi, phi):
@@ -49,19 +62,16 @@ def check_inverse_law(n: int) -> Report:
             rep.fail(f"psi undefined on {_subset(n, mask)} despite |G| >= {threshold}")
         if up >= 0 and psi[up] != mask:
             rep.fail(f"psi(phi({_subset(n, mask)})) != {_subset(n, mask)}")
-    mismatches = 0
-    for size in range(n + 1):
-        for mask in sized_submasks((1 << n) - 1, size):
-            if image[mask] != (phi[mask] >= 0):
-                mismatches += 1
-                side = "image only" if image[mask] else "phi-domain only"
-                rep.fail(f"image/domain mismatch at {_subset(n, mask)} ({side})")
+    wrong = _by_level(n, (marked != (up >= 0) for marked, up in zip(image, phi)))
+    for mask in chain.from_iterable(wrong):
+        side = "image only" if image[mask] else "phi-domain only"
+        rep.fail(f"image/domain mismatch at {_subset(n, mask)} ({side})")
     rep.counts["subsets"] = 1 << n
     rep.counts["psi_defined"] = psi_defined
     rep.counts["failures"] = len(rep.failures)
     rep.lines.append(
         f"inverse law: {1 << n} subsets, psi defined on {psi_defined}, "
-        f"image(psi) == domain(phi): {'NO' if mismatches else 'yes'}, "
+        f"image(psi) == domain(phi): {'NO' if any(wrong) else 'yes'}, "
         f"{len(rep.failures)} counterexamples"
     )
     return rep
@@ -111,28 +121,18 @@ def check_greedy_agreement(n: int) -> Report:
     and any mismatch there is reported informationally, never as a failure.
     """
     rep = Report(f"greedy agreement n={n}")
-    threshold = (n + 2) // 2  # ceil((n+1)/2)
-    low_mismatches = 0
-    upper_sets = 0
-    psi = match_tables(n).psi
-    for l in range(n):
-        greedy = matching.greedy_lex_matching(n, l)
-        upper = l + 1 >= threshold
-        for mask in sized_submasks((1 << n) - 1, l + 1):
-            expected = psi[mask]
-            got = greedy.get(mask, -1)
-            if upper:
-                upper_sets += 1
-                if got != expected:
-                    rep.fail(
-                        f"level {l + 1}: greedy gives {_subset(n, got)} but formula gives "
-                        f"{_subset(n, expected)} at {_subset(n, mask)}"
-                    )
-            elif got != expected:
-                low_mismatches += 1
-        # freed before the next level's is built: two middle levels alive at
-        # once set the peak resident set of check-matching
-        del greedy
+    threshold = _total_level(n)
+    psi = match_tables(n).psi  # first: greedy's array alive during this build raises the peak
+    greedy = matching.greedy_lex_matching(n)
+    wrong = _by_level(n, (want != got for want, got in zip(psi, greedy)))
+    for size in range(threshold, n + 1):
+        for mask in wrong[size]:
+            rep.fail(
+                f"level {size}: greedy gives {_subset(n, greedy[mask])} but formula gives "
+                f"{_subset(n, psi[mask])} at {_subset(n, mask)}"
+            )
+    upper_sets = sum(comb(n, size) for size in range(threshold, n + 1))
+    low_mismatches = sum(map(len, wrong[1:threshold]))  # the empty set is on no level
     rep.counts["upper_level_sets"] = upper_sets
     rep.counts["upper_mismatches"] = len(rep.failures)
     rep.counts["low_level_mismatches"] = low_mismatches

@@ -12,6 +12,7 @@ against lives in the test suite's helpers.
 
 from __future__ import annotations
 
+from array import array
 from itertools import combinations
 from typing import NamedTuple
 
@@ -82,27 +83,26 @@ def index(G: Subset, M: Subset) -> int:
         i += 1
 
 
-def greedy_lex_matching(n: int, l: int) -> dict[int, int]:
-    """Greedy level matching on masks: each (l+1)-set takes its lex-smallest
-    unused l-subset.
+def greedy_lex_matching(n: int) -> array:
+    """Greedy level matching on masks: level by level upwards, each (l+1)-set
+    in lexicographic order takes its lex-smallest unused l-subset.
 
-    Processes the (l+1)-sets in lexicographic order and leaves a set unmatched
-    when all of its l-subsets are already taken.  The lex-smallest l-subset
-    of a set drops its largest element, the next one its second largest, and
-    so on.  This replays the original definition of the matching and serves
-    as the oracle for ``psi``.
+    A set stays unmatched, -1 in the returned ``array("i")`` indexed by mask
+    (the format of the ``psi`` table), when all its l-subsets are taken.
+    The lex-smallest l-subset of a set drops its largest element, the next
+    one its second largest, and so on.  This replays the original definition
+    of the matching and serves as the oracle for ``psi``.
     """
     check_ground(n)
-    if not 0 <= l < n:
-        raise ValueError(f"level must satisfy 0 <= l < n, got l={l}, n={n}")
-    used = bytearray(1 << n)
-    out: dict[int, int] = {}
-    for big in combinations([1 << e for e in range(n)], l + 1):
-        big_mask = sum(big)
-        for drop in reversed(big):
-            small = big_mask ^ drop
-            if not used[small]:
-                used[small] = 1
-                out[big_mask] = small
-                break
+    used = bytearray(1 << n)  # an l-set is taken only on level l+1: one flag serves all
+    out = array("i", [-1]) * (1 << n)
+    for size in range(1, n + 1):
+        for big in combinations([1 << e for e in range(n)], size):
+            big_mask = sum(big)
+            for drop in reversed(big):
+                small = big_mask ^ drop
+                if not used[small]:
+                    used[small] = 1
+                    out[big_mask] = small
+                    break
     return out

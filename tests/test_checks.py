@@ -242,6 +242,29 @@ def test_greedy_agreement_fails_on_corrupted_tables(monkeypatch):
     assert "2 mismatches; below threshold: 0 mismatches" in rep.lines[-1]
 
 
+@pytest.mark.parametrize(
+    "mask, wrong",
+    [
+        (0b000001, None),  # psi({1}) is {}
+        (0b000011, 0b000010),  # psi({1,2}) is {1}
+        # psi({1,2,3}) is {1,2}; size 3 is the level just below the threshold
+        (0b000111, 0b000110),
+    ],
+)
+def test_greedy_agreement_reports_a_low_level_mismatch(monkeypatch, mask, wrong):
+    # negative control for the split at the threshold (size 4 at n = 6): a
+    # wrong psi entry below it is counted informationally, not failed
+    n = 6
+    tables = match_tables(n)
+    assert tables.psi[mask] == mask ^ 1 << mask.bit_length() - 1
+    _patch_tables(monkeypatch, tables, psi={mask: wrong})
+    rep = check_greedy_agreement(n)
+    assert rep.passed
+    assert rep.counts["upper_mismatches"] == 0
+    assert rep.counts["low_level_mismatches"] == 1
+    assert rep.lines[-1].endswith("below threshold: 1 mismatches (informational)")
+
+
 def test_report_text_shape():
     rep = check_inverse_law(3)
     text = rep.text()

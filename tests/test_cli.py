@@ -768,12 +768,13 @@ _PEAK_LAUNCHER = (
 def test_verify_18_9_peak_memory():
     # the chain table in flat arrays and the rows streamed from it: a
     # regression to a dict of tuples or a materialised script (35.7 MB)
-    # fails here; and check-matching 18 on its psi/phi tables in int arrays
-    # and greedy's used set in a bytearray (43.5 MB as tuples and a set)
+    # fails here; and check-matching 18 on its psi/phi tables and the greedy
+    # oracle in int arrays, 18 MB (25.6 MB with a greedy dict per level,
+    # 43.5 MB with tables of tuples)
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     for argv, verdict, bound_mb in (
         (["verify", "18", "9", "--rank", "never"], "PASS stanley decomposition n=18 k=9", 28),
-        (["check-matching", "18"], "PASS greedy agreement n=18", 32),
+        (["check-matching", "18"], "PASS greedy agreement n=18", 22),
     ):
         proc = subprocess.run(
             [sys.executable, "-c", _PEAK_LAUNCHER, sys.executable, "-m", "koszuldepth", *argv],

@@ -160,38 +160,44 @@ def test_index_definitions_agree(n):
 
 
 def test_greedy_examples():
-    # masks: bit e-1 is element e
-    assert greedy_lex_matching(3, 1) == {0b011: 0b001, 0b101: 0b100, 0b110: 0b010}
-    assert greedy_lex_matching(2, 1) == {0b11: 0b01}
-    assert greedy_lex_matching(3, 0) == {0b001: 0}  # {2} and {3} stay unmatched
+    # masks: bit e-1 is element e; -1 where a set is unmatched
+    table = greedy_lex_matching(3)
+    assert (table[0b011], table[0b101], table[0b110]) == (0b001, 0b100, 0b010)
+    assert (table[0b001], table[0b010], table[0b100]) == (0, -1, -1)  # {2} and {3}
+    assert table[0] == -1 and table[0b111] == 0b011
+    assert list(greedy_lex_matching(2)) == [-1, 0, -1, 0b01]
+
+
+def _levels(n, table):
+    """The defined entries of a greedy table per level l, as {(l+1)-set: l-set}."""
+    levels = [{} for _ in range(n)]
+    for big, small in enumerate(table):
+        if small >= 0:
+            levels[big.bit_count() - 1][big] = small
+    return levels
 
 
 @pytest.mark.parametrize("n", range(1, 10))
 def test_greedy_equals_naive_greedy(n):
-    for l in range(n):
+    table = greedy_lex_matching(n)
+    assert len(table) == 1 << n
+    for l, level in enumerate(_levels(n, table)):
         expected = {_mask(big): _mask(small) for big, small in naive_greedy(n, l).items()}
-        assert greedy_lex_matching(n, l) == expected
-
-
-def test_greedy_contract():
-    with pytest.raises(ValueError):
-        greedy_lex_matching(3, 3)
-    with pytest.raises(ValueError):
-        greedy_lex_matching(3, -1)
+        assert level == expected
+    # the -1 entries are exactly the sets naive_greedy leaves unmatched
+    matched = {_mask(big) for l in range(n) for big in naive_greedy(n, l)}
+    assert {mask for mask in range(1 << n) if table[mask] == -1} == set(range(1 << n)) - matched
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_greedy_equals_formula_on_total_levels(n):
     threshold = (n + 2) // 2
-    for l in range(n):
-        greedy = greedy_lex_matching(n, l)
-        for mask in range(1 << n):
-            if mask.bit_count() != l + 1:
-                continue
+    greedy = greedy_lex_matching(n)
+    for mask in range(1 << n):
+        if mask.bit_count() >= threshold:
             r = psi(Subset.from_mask(n, mask))
-            if l + 1 >= threshold:
-                assert r.defined and greedy.get(mask) == r.value.mask
+            assert r.defined and greedy[mask] == r.value.mask
     # greedy is injective level by level
-    for l in range(n):
-        values = list(greedy_lex_matching(n, l).values())
+    for level in _levels(n, greedy):
+        values = list(level.values())
         assert len(values) == len(set(values))
